@@ -477,6 +477,10 @@ fn run_phase(
         _ => None,
     };
     let direction_increase = direction == Direction::Increase;
+    // No satisfiable fix moves more registers over one vertex than the
+    // circuit holds. A constant of the graph: summed once per phase.
+    let weight_cap = graph.total_registers() as i64 + graph.num_vertices() as i64;
+    let trace = std::env::var_os("MINOBSWIN_TRACE").is_some();
 
     // The tentative-retiming buffer is reused across iterations
     // (`clone_from` copies in place): the solver loop performs no
@@ -656,7 +660,7 @@ fn run_phase(
             stats.perf.commit_nanos += t_commit.elapsed().as_nanos() as u64;
         } else {
             let t_attr = Instant::now();
-            if std::env::var_os("MINOBSWIN_TRACE").is_some() {
+            if trace {
                 eprintln!(
                     "iter {} {direction:?} |I|={} batch={} first {:?} [arcs={}]",
                     stats.iterations,
@@ -674,6 +678,7 @@ fn run_phase(
             // them together preserves the termination argument), and
             // the processing order is the canonical violation order, so
             // both engines learn identically.
+            debug_assert!(move_set.is_sorted(), "attribute binary-searches it");
             let mut changed = false;
             let mut anchor: Option<VertexId> = None;
             for violation in &verdicts {
@@ -691,7 +696,7 @@ fn run_phase(
                         Request::Link { p, .. } | Request::Freeze(p) => p,
                     });
                 }
-                changed |= apply_request(graph, &mut system, request, stats);
+                changed |= apply_request(&mut system, request, weight_cap, stats);
             }
             if !changed {
                 // The whole batch was a no-op: the same violations would
@@ -741,14 +746,15 @@ enum Request {
     Freeze(VertexId),
 }
 
-/// Applies one learned constraint request. Returns whether the system
+/// Applies one learned constraint request; a link heavier than
+/// `weight_cap` freezes `q` instead. Returns whether the system
 /// effectively changed — a batch in which *no* request changed
 /// anything would recur forever, and the caller's escape hatch freezes
 /// the anchor vertex to guarantee progress.
 fn apply_request(
-    graph: &RetimeGraph,
     system: &mut ConstraintSystem,
     request: Request,
+    weight_cap: i64,
     stats: &mut SolverStats,
 ) -> bool {
     match request {
@@ -761,9 +767,6 @@ fn apply_request(
             true
         }
         Request::Link { p, q, weight } => {
-            // Moving more registers over one vertex than the circuit
-            // contains can never be required by a satisfiable fix.
-            let weight_cap = graph.total_registers() as i64 + graph.num_vertices() as i64;
             if weight > weight_cap {
                 if system.is_frozen(q) {
                     return false;
@@ -786,7 +789,7 @@ fn apply_request(
 }
 
 /// Derives the active-constraint request for a violation found under
-/// the tentative move.
+/// the tentative move (`move_set` in ascending vertex order).
 fn attribute(
     graph: &RetimeGraph,
     system: &ConstraintSystem,
@@ -796,7 +799,7 @@ fn attribute(
     direction: Direction,
     stats: &mut SolverStats,
 ) -> Request {
-    let in_move = |v: VertexId| move_set.contains(&v);
+    let in_move = |v: VertexId| move_set.binary_search(&v).is_ok();
     let planned = |v: VertexId| if in_move(v) { system.weight(v) } else { 0 };
     let pick_p = |candidates: &[VertexId], stats: &mut SolverStats| -> VertexId {
         for &c in candidates {
@@ -1011,6 +1014,117 @@ mod tests {
         // Batched learning can add several constraints per iteration,
         // but never more than the violations it attributed.
         assert!(sol.stats.perf.violations_batched as usize >= sol.stats.constraints_added);
+    }
+
+    /// `a → x → [FF] → y → z → PO`: one register; returns the graph
+    /// and the vertices of `a`, `x`, `y`, `z`.
+    fn chain() -> (RetimeGraph, [VertexId; 4]) {
+        let mut b = netlist::CircuitBuilder::new("chain");
+        b.input("a");
+        b.gate("x", netlist::GateKind::Not, &["a"]).unwrap();
+        b.dff("r", "x").unwrap();
+        b.gate("y", netlist::GateKind::Not, &["r"]).unwrap();
+        b.gate("z", netlist::GateKind::Not, &["y"]).unwrap();
+        b.output("z").unwrap();
+        let c = b.build().unwrap();
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        let v = |name: &str| g.vertex_of(c.find(name).unwrap()).unwrap();
+        let vs = [v("a"), v("x"), v("y"), v("z")];
+        assert!(vs.is_sorted(), "move sets below list them in this order");
+        (g, vs)
+    }
+
+    /// Attributes a P1 violation headed at `x` whose window ends at `y`
+    /// (decrease phase: the candidates are `[lt, vertex] = [y, x]`, and
+    /// the link target is `x`).
+    fn attribute_p1(move_set: &[VertexId], stats: &mut SolverStats) -> Request {
+        let (g, [_, x, y, _]) = chain();
+        let system = ConstraintSystem::new(vec![1; g.num_vertices()]);
+        let violation = Violation::P1(retime::P1Violation {
+            vertex: x,
+            lt: y,
+            slack: -1,
+        });
+        let r = Retiming::zero(&g);
+        attribute(
+            &g,
+            &system,
+            move_set,
+            &r,
+            &violation,
+            Direction::Decrease,
+            stats,
+        )
+    }
+
+    #[test]
+    fn attribute_takes_the_first_candidate_in_the_move_set() {
+        let (_, [a, x, y, z]) = chain();
+        let mut stats = SolverStats::default();
+        // Both candidates move: the first one, lt = y, is blamed.
+        let request = attribute_p1(&[x, y], &mut stats);
+        assert_eq!(
+            request,
+            Request::Link {
+                p: y,
+                q: x,
+                weight: 2
+            }
+        );
+        // y stays put: the next candidate, x, is blamed, and a link
+        // from x to itself degenerates into a freeze.
+        assert_eq!(attribute_p1(&[a, x, z], &mut stats), Request::Freeze(x));
+        assert_eq!(stats.fallback_attributions, 0);
+    }
+
+    #[test]
+    fn attribute_falls_back_to_the_first_move_set_member() {
+        let (_, [a, x, _, z]) = chain();
+        let mut stats = SolverStats::default();
+        // Neither candidate moves: the move is blamed collectively
+        // through its first member, and x (not moving) needs weight 1.
+        let request = attribute_p1(&[a, z], &mut stats);
+        assert_eq!(
+            request,
+            Request::Link {
+                p: a,
+                q: x,
+                weight: 1
+            }
+        );
+        assert_eq!(stats.fallback_attributions, 1);
+    }
+
+    #[test]
+    fn apply_request_freezes_links_heavier_than_the_cap() {
+        let (g, [_, x, y, z]) = chain();
+        assert_eq!(g.total_registers(), 1);
+        let cap = 1 + g.num_vertices() as i64;
+        let mut system = ConstraintSystem::new(vec![1; g.num_vertices()]);
+        let mut stats = SolverStats::default();
+        // At the cap: a weight raise plus an arc.
+        let at_cap = Request::Link {
+            p: y,
+            q: x,
+            weight: cap,
+        };
+        assert!(apply_request(&mut system, at_cap, cap, &mut stats));
+        assert_eq!((system.weight(x), system.num_arcs()), (cap, 1));
+        assert!(!apply_request(&mut system, at_cap, cap, &mut stats));
+        // Past the cap: q is frozen instead, and nothing else changes.
+        let heavy = Request::Link {
+            p: y,
+            q: z,
+            weight: cap + 1,
+        };
+        assert!(apply_request(&mut system, heavy, cap, &mut stats));
+        assert!(system.is_frozen(z));
+        assert_eq!((system.weight(z), system.num_arcs()), (1, 1));
+        assert!(!apply_request(&mut system, heavy, cap, &mut stats));
+        assert_eq!(
+            (stats.freezes, stats.weight_updates, stats.constraints_added),
+            (1, 1, 1)
+        );
     }
 
     #[test]

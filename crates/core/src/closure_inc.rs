@@ -561,6 +561,11 @@ impl IncrementalClosure {
         self.level[s] = 0;
         queue.push_back(s);
         while let Some(v) = queue.pop_front() {
+            // No shortest augmenting path leaves a node at or past the
+            // sink's level, so the level graph is complete here.
+            if self.level[t] >= 0 && self.level[v] >= self.level[t] {
+                break;
+            }
             self.touched += self.adj[v].len() as u64;
             for &e in &self.adj[v] {
                 let u = self.to[e as usize] as usize;
@@ -594,31 +599,19 @@ impl IncrementalClosure {
         0
     }
 
-    /// Re-extracts the canonical closure from the residual of the
-    /// current maximum flow into the cache.
+    /// Re-extracts the canonical closure into the cache. `resume`'s
+    /// last BFS failed to reach the sink, so its labels mark exactly
+    /// the residual source-reachable set of the maximum flow.
     fn extract(&mut self) {
+        debug_assert!(self.level[self.sink()] < 0, "extract needs a maximum flow");
         self.cached.clear();
         self.in_cut.clear();
         self.in_cut.resize(self.n, false);
         if self.flow >= self.total_positive {
             return; // best closure has gain <= 0 (or no positive gain at all)
         }
-        let s = self.source();
-        let mut seen = vec![false; self.adj.len()];
-        seen[s] = true;
-        let mut stack = vec![s];
-        while let Some(v) = stack.pop() {
-            self.touched += self.adj[v].len() as u64;
-            for &e in &self.adj[v] {
-                let u = self.to[e as usize] as usize;
-                if self.cap[e as usize] > 0 && !seen[u] {
-                    seen[u] = true;
-                    stack.push(u);
-                }
-            }
-        }
-        for (v, &reachable) in seen.iter().enumerate().take(self.n).skip(1) {
-            if reachable {
+        for v in 1..self.n {
+            if self.level[v] >= 0 {
                 self.in_cut[v] = true;
                 self.cached.push(VertexId::new(v));
             }

@@ -1,7 +1,5 @@
-//! Criterion bench of the solver's incremental engines: the
-//! dirty-region checker vs. full from-scratch recomputes
-//! (`SolverConfig::with_incremental(false)`) and the warm-started
-//! closure engine vs. fresh Dinic builds
+//! Criterion bench of the solver's warm-started closure engine vs.
+//! fresh Dinic builds
 //! (`SolverConfig::with_closure_engine(ClosureEngine::Fresh)`), on
 //! generated circuits.
 
@@ -17,23 +15,6 @@ fn solve_with(instance: &BenchInstance, config: SolverConfig) {
         .initial(instance.initial.clone())
         .run()
         .unwrap();
-}
-
-fn bench_constraint_engines(c: &mut Criterion) {
-    let mut group = c.benchmark_group("constraint_engines");
-    group.sample_size(10);
-    for gates in [300usize, 1000] {
-        let instance = generated_instance(gates).unwrap();
-        group.bench_with_input(
-            BenchmarkId::new("incremental", gates),
-            &instance,
-            |b, inst| b.iter(|| solve_with(inst, SolverConfig::default())),
-        );
-        group.bench_with_input(BenchmarkId::new("full", gates), &instance, |b, inst| {
-            b.iter(|| solve_with(inst, SolverConfig::default().with_incremental(false)))
-        });
-    }
-    group.finish();
 }
 
 fn bench_closure_engines(c: &mut Criterion) {
@@ -56,5 +37,5 @@ fn bench_closure_engines(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_constraint_engines, bench_closure_engines);
+criterion_group!(benches, bench_closure_engines);
 criterion_main!(benches);

@@ -84,10 +84,9 @@
 //!
 //! retimer bench-solve [options]
 //!
-//!   Benchmarks the solver's incremental engines (dirty-region
-//!   constraint relaxation vs. full recomputes, and the warm-started
-//!   closure engine vs. fresh Dinic builds) over sample and generated
-//!   circuits, writing per-run counters as JSON.
+//!   Benchmarks the solver's warm-started closure engine against
+//!   fresh Dinic builds over sample and generated circuits, writing
+//!   per-run counters as JSON.
 //!
 //!   --out FILE                       output path (default BENCH_solver.json)
 //!   --gates N,N,...                  generated circuit sizes (default 300,1000)
@@ -1088,9 +1087,8 @@ fn parse_bench_solve_args() -> Result<BenchSolveOptions, String> {
     Ok(options)
 }
 
-/// Benchmarks the incremental constraint checker and the warm-started
-/// closure engine against their from-scratch counterparts and writes
-/// the counters as JSON (`BENCH_solver.json`).
+/// Benchmarks the warm-started closure engine against fresh Dinic
+/// builds and writes the counters as JSON (`BENCH_solver.json`).
 fn run_bench_solve() -> Result<u8, CliError> {
     use bench_harness::solver_bench;
 
@@ -1110,23 +1108,19 @@ fn run_bench_solve() -> Result<u8, CliError> {
     let mut records = Vec::new();
     for instance in &instances {
         let record = solver_bench::measure_with_budget(instance, &budget)?;
-        degraded |= record.incremental.stats.degradation.budget_stop.is_some()
-            || record.full.stats.degradation.budget_stop.is_some();
+        degraded |= record.warm.stats.degradation.budget_stop.is_some()
+            || record.fresh.stats.degradation.budget_stop.is_some();
         println!(
-            "{:<16} |V| {:>5} |E| {:>5}  inc {:>7.1} edges/check, full {:>8.1} \
-             ({:>5.1}x)  closure warm {:>8.0} arcs/call, fresh {:>9.0} ({:>5.1}x), \
-             {:.3}s vs {:.3}s",
+            "{:<16} |V| {:>5} |E| {:>5}  closure warm {:>8.0} arcs/call, \
+             fresh {:>9.0} ({:>5.1}x), {:.3}s vs {:.3}s",
             record.name,
             record.vertices,
             record.edges,
-            record.incremental.stats.perf.edges_per_check(),
-            record.full.stats.perf.edges_per_check(),
-            record.edge_relaxation_ratio(),
-            record.incremental.stats.perf.arcs_per_closure(),
-            record.full.stats.perf.arcs_per_closure(),
+            record.warm.stats.perf.arcs_per_closure(),
+            record.fresh.stats.perf.arcs_per_closure(),
             record.closure_arc_ratio(),
-            record.incremental.solve_seconds,
-            record.full.solve_seconds,
+            record.warm.solve_seconds,
+            record.fresh.solve_seconds,
         );
         if options.profile {
             print!("{}", solver_bench::profile_table(&record));

@@ -52,6 +52,18 @@ pub fn tier_gates(tier: &str, small: Vec<usize>) -> Result<Vec<usize>, String> {
     }
 }
 
+/// Serializes the unit tests that run a SER engine. The SER bench
+/// reads the process-wide `ser_engine::signature_allocs` counter, so an
+/// engine running on another test thread would leak its allocations
+/// into a measured delta. The lock guards no data, so a test that
+/// panicked while holding it leaves nothing to repair.
+#[cfg(test)]
+pub(crate) fn ser_engine_lock() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner)
+}
+
 #[cfg(test)]
 mod tier_tests {
     use super::*;

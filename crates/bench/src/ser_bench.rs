@@ -426,6 +426,7 @@ mod tests {
 
     #[test]
     fn sample_records_are_consistent_and_serialize() {
+        let _ser = crate::ser_engine_lock();
         let config = BenchSerConfig::tiny();
         let records: Vec<BenchSerRecord> = sample_instances()
             .iter()
@@ -451,6 +452,7 @@ mod tests {
     fn arena_allocates_far_less_than_scalar() {
         // The scalar engine clones a Signature per gate and frame; the
         // arena engine only allocates the finalized observability masks.
+        let _ser = crate::ser_engine_lock();
         let instance = generated_instance(400);
         let record = measure(&instance, &BenchSerConfig::tiny());
         assert!(
@@ -466,6 +468,7 @@ mod tests {
         // The headline claim (>=1.5x) is asserted on the committed
         // BENCH_ser.json baseline; under a loaded test runner we only
         // require the arena engine not be meaningfully slower.
+        let _ser = crate::ser_engine_lock();
         let instance = generated_instance(400);
         let record = measure(&instance, &BenchSerConfig::tiny());
         assert!(

@@ -1,7 +1,5 @@
-//! Benchmark of the solver's incremental engines against their
-//! from-scratch counterparts: the dirty-region constraint checker vs
-//! full recomputes, and the warm-started closure engine vs fresh Dinic
-//! builds, on sample and generated circuits. Shared by the
+//! Benchmark of the solver's warm-started closure engine against fresh
+//! Dinic builds, on sample and generated circuits. Shared by the
 //! `retimer bench-solve` subcommand and the `solver` criterion bench;
 //! the JSON it emits (`BENCH_solver.json`) is the tracked baseline.
 
@@ -11,6 +9,7 @@ use std::time::Instant;
 use minobswin::algorithm::{SolverConfig, SolverStats};
 use minobswin::closure_inc::ClosureEngine;
 use minobswin::init::InitConfig;
+use minobswin::perf::PerfCounters;
 use minobswin::{Problem, SolveBudget, SolveError, SolverSession, Supervision};
 use netlist::generator::GeneratorConfig;
 use netlist::rng::Xoshiro256;
@@ -71,8 +70,7 @@ pub fn sample_instances() -> Vec<BenchInstance> {
     .collect()
 }
 
-/// A generated circuit of roughly `gates` gates (the "medium" class
-/// the ≥5× edge-relaxation claim is made on).
+/// A generated circuit of roughly `gates` gates.
 ///
 /// # Errors
 ///
@@ -104,7 +102,7 @@ pub fn generated_circuit(gates: usize) -> Circuit {
 pub struct EngineRun {
     /// Wall-clock seconds inside the solver.
     pub solve_seconds: f64,
-    /// The objective gain (must agree across engines).
+    /// The objective gain (must agree across closure engines).
     pub objective_gain: i64,
     /// Full run counters, including [`SolverStats::perf`].
     pub stats: SolverStats,
@@ -119,12 +117,11 @@ pub struct BenchRecord {
     pub vertices: usize,
     /// Retiming-graph edges.
     pub edges: usize,
-    /// The run with the incremental engines (default configuration:
-    /// dirty-region checker + warm-started closure).
-    pub incremental: EngineRun,
-    /// The run with both incremental engines disabled (from-scratch
-    /// checks, fresh Dinic per closure call).
-    pub full: EngineRun,
+    /// The run with the warm-started closure engine (the default
+    /// configuration).
+    pub warm: EngineRun,
+    /// The run with a fresh Dinic build per closure call.
+    pub fresh: EngineRun,
     /// Whether either engine's run was truncated by the solve budget.
     /// Degraded rows are not comparable to converged ones: their
     /// counters reflect wherever the budget happened to stop, so CI
@@ -134,23 +131,12 @@ pub struct BenchRecord {
 }
 
 impl BenchRecord {
-    /// How many times fewer edges per check the incremental engine
-    /// relaxes, compared to the full engine (higher is better).
-    pub fn edge_relaxation_ratio(&self) -> f64 {
-        let inc = self.incremental.stats.perf.edges_per_check();
-        let full = self.full.stats.perf.edges_per_check();
-        if inc <= 0.0 {
-            return 0.0;
-        }
-        full / inc
-    }
-
     /// How many times fewer arcs per closure call the warm-started
     /// engine touches, compared to a fresh Dinic build (higher is
     /// better).
     pub fn closure_arc_ratio(&self) -> f64 {
-        let warm = self.incremental.stats.perf.arcs_per_closure();
-        let fresh = self.full.stats.perf.arcs_per_closure();
+        let warm = self.warm.stats.perf.arcs_per_closure();
+        let fresh = self.fresh.stats.perf.arcs_per_closure();
         if warm <= 0.0 {
             return 0.0;
         }
@@ -191,8 +177,8 @@ fn timed_run(
 ///
 /// # Panics
 ///
-/// Panics if the two engines disagree on the objective gain — they are
-/// required to be bit-identical.
+/// Panics if the two closure engines disagree on the objective gain —
+/// they are required to be bit-identical.
 pub fn measure(instance: &BenchInstance) -> Result<BenchRecord, SolveError> {
     measure_with_budget(instance, &SolveBudget::new())
 }
@@ -213,20 +199,18 @@ pub fn measure_with_budget(
     instance: &BenchInstance,
     budget: &SolveBudget,
 ) -> Result<BenchRecord, SolveError> {
-    let incremental = timed_run(instance, SolverConfig::default(), budget)?;
-    let full = timed_run(
+    let warm = timed_run(instance, SolverConfig::default(), budget)?;
+    let fresh = timed_run(
         instance,
-        SolverConfig::default()
-            .with_incremental(false)
-            .with_closure_engine(ClosureEngine::Fresh),
+        SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
         budget,
     )?;
-    let degraded = incremental.stats.degradation.budget_stop.is_some()
-        || full.stats.degradation.budget_stop.is_some();
+    let degraded = warm.stats.degradation.budget_stop.is_some()
+        || fresh.stats.degradation.budget_stop.is_some();
     if !degraded {
         assert_eq!(
-            incremental.objective_gain, full.objective_gain,
-            "{}: the two constraint engines must agree bit-for-bit",
+            warm.objective_gain, fresh.objective_gain,
+            "{}: the two closure engines must agree bit-for-bit",
             instance.name
         );
     }
@@ -234,8 +218,8 @@ pub fn measure_with_budget(
         name: instance.name.clone(),
         vertices: instance.graph.num_vertices(),
         edges: instance.graph.num_edges(),
-        incremental,
-        full,
+        warm,
+        fresh,
         degraded,
     })
 }
@@ -251,14 +235,6 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
          {indent}  \"commits\": {},\n\
          {indent}  \"iterations\": {},\n\
          {indent}  \"checks\": {},\n\
-         {indent}  \"incremental_checks\": {},\n\
-         {indent}  \"full_checks\": {},\n\
-         {indent}  \"fallback_full\": {},\n\
-         {indent}  \"edges_relaxed\": {},\n\
-         {indent}  \"edges_relaxed_full\": {},\n\
-         {indent}  \"edges_per_check\": {:.3},\n\
-         {indent}  \"dirty_vertices\": {},\n\
-         {indent}  \"max_dirty\": {},\n\
          {indent}  \"check_nanos\": {},\n\
          {indent}  \"closure_nanos\": {},\n\
          {indent}  \"closure_calls\": {},\n\
@@ -276,15 +252,7 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
         run.objective_gain,
         s.commits,
         s.iterations,
-        p.checks(),
-        p.incremental_checks,
-        p.full_checks,
-        p.fallback_full,
-        p.edges_relaxed,
-        p.edges_relaxed_full,
-        p.edges_per_check(),
-        p.dirty_vertices,
-        p.max_dirty,
+        p.checks,
         p.check_nanos,
         p.closure_nanos,
         p.closure_calls,
@@ -312,9 +280,9 @@ pub fn profile_table(r: &BenchRecord) -> String {
     let _ = writeln!(
         out,
         "  {:<12} {:>16} {:>7} {:>16} {:>7}",
-        "phase", "incremental", "share", "full", "share"
+        "phase", "warm", "share", "fresh", "share"
     );
-    let row = |out: &mut String, label: &str, inc_ns: u64, full_ns: u64, r: &BenchRecord| {
+    let row = |out: &mut String, label: &str, warm_ns: u64, fresh_ns: u64, r: &BenchRecord| {
         let share = |ns: u64, secs: f64| {
             if secs <= 0.0 {
                 0.0
@@ -326,55 +294,52 @@ pub fn profile_table(r: &BenchRecord) -> String {
             out,
             "  {:<12} {:>13.3} ms {:>6.1}% {:>13.3} ms {:>6.1}%",
             label,
-            inc_ns as f64 / 1e6,
-            share(inc_ns, r.incremental.solve_seconds),
-            full_ns as f64 / 1e6,
-            share(full_ns, r.full.solve_seconds),
+            warm_ns as f64 / 1e6,
+            share(warm_ns, r.warm.solve_seconds),
+            fresh_ns as f64 / 1e6,
+            share(fresh_ns, r.fresh.solve_seconds),
         );
     };
-    let ip = &r.incremental.stats.perf;
-    let fp = &r.full.stats.perf;
-    row(&mut out, "check", ip.check_nanos, fp.check_nanos, r);
-    row(&mut out, "closure", ip.closure_nanos, fp.closure_nanos, r);
+    let wp = &r.warm.stats.perf;
+    let fp = &r.fresh.stats.perf;
+    row(&mut out, "check", wp.check_nanos, fp.check_nanos, r);
+    row(&mut out, "closure", wp.closure_nanos, fp.closure_nanos, r);
     row(
         &mut out,
         "  warm",
-        ip.closure_warm_nanos,
+        wp.closure_warm_nanos,
         fp.closure_warm_nanos,
         r,
     );
     row(
         &mut out,
         "attribute",
-        ip.attribute_nanos,
+        wp.attribute_nanos,
         fp.attribute_nanos,
         r,
     );
-    row(&mut out, "commit", ip.commit_nanos, fp.commit_nanos, r);
-    let counted = |p: &minobswin::incremental::PerfCounters| {
-        p.check_nanos + p.closure_nanos + p.attribute_nanos + p.commit_nanos
-    };
-    let other = |secs: f64, p: &minobswin::incremental::PerfCounters| {
-        ((secs * 1e9) as u64).saturating_sub(counted(p))
-    };
+    row(&mut out, "commit", wp.commit_nanos, fp.commit_nanos, r);
+    let counted =
+        |p: &PerfCounters| p.check_nanos + p.closure_nanos + p.attribute_nanos + p.commit_nanos;
+    let other = |secs: f64, p: &PerfCounters| ((secs * 1e9) as u64).saturating_sub(counted(p));
     row(
         &mut out,
         "other",
-        other(r.incremental.solve_seconds, ip),
-        other(r.full.solve_seconds, fp),
+        other(r.warm.solve_seconds, wp),
+        other(r.fresh.solve_seconds, fp),
         r,
     );
     let _ = writeln!(
         out,
         "  {:<12} {:>13.3} ms         {:>13.3} ms",
         "total",
-        r.incremental.solve_seconds * 1e3,
-        r.full.solve_seconds * 1e3,
+        r.warm.solve_seconds * 1e3,
+        r.fresh.solve_seconds * 1e3,
     );
     let _ = writeln!(
         out,
         "  closure skips {}, batched violations {}, move-set allocs {} bytes",
-        ip.closure_skips, ip.violations_batched, ip.member_clone_bytes,
+        wp.closure_skips, wp.violations_batched, wp.member_clone_bytes,
     );
     out
 }
@@ -383,7 +348,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
 /// (hand-rolled: the workspace deliberately has no serde dependency).
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 3,\n");
+    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 4,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
@@ -392,13 +357,12 @@ pub fn to_json(records: &[BenchRecord]) -> String {
              \"degraded\": {},\n",
             r.name, r.vertices, r.edges, r.degraded
         );
-        push_engine(&mut out, "      ", "incremental", &r.incremental);
+        push_engine(&mut out, "      ", "warm", &r.warm);
         out.push_str(",\n");
-        push_engine(&mut out, "      ", "full", &r.full);
+        push_engine(&mut out, "      ", "fresh", &r.fresh);
         let _ = write!(
             out,
-            ",\n      \"edge_relaxation_ratio\": {:.3},\n      \"closure_arc_ratio\": {:.3}\n    }}",
-            r.edge_relaxation_ratio(),
+            ",\n      \"closure_arc_ratio\": {:.3}\n    }}",
             r.closure_arc_ratio()
         );
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
@@ -418,20 +382,19 @@ mod tests {
         let records: Vec<BenchRecord> = instances.iter().map(|i| measure(i).unwrap()).collect();
         let json = to_json(&records);
         assert!(json.contains("\"solver-constraint-engines\""));
-        assert!(json.contains("\"edge_relaxation_ratio\""));
         assert!(json.contains("\"closure_arc_ratio\""));
         assert!(json.contains("\"closure_warm_nanos\""));
         assert!(json.contains("\"degraded\": false"));
         for r in &records {
             assert!(!r.degraded, "{}: unlimited budget cannot degrade", r.name);
-            assert_eq!(r.incremental.stats.commits, r.full.stats.commits);
-            assert_eq!(r.full.stats.perf.incremental_checks, 0);
+            assert_eq!(r.warm.stats.commits, r.fresh.stats.commits);
             assert_eq!(
-                r.incremental.stats.perf.closure_calls, r.full.stats.perf.closure_calls,
+                r.warm.stats.perf.closure_calls, r.fresh.stats.perf.closure_calls,
                 "{}: identical trajectories make the same closure calls",
                 r.name
             );
-            assert_eq!(r.full.stats.perf.closure_warm_nanos, 0);
+            assert_eq!(r.warm.stats.perf.checks, r.fresh.stats.perf.checks);
+            assert_eq!(r.fresh.stats.perf.closure_warm_nanos, 0);
         }
     }
 
@@ -460,25 +423,14 @@ mod tests {
         println!(
             "closure_arc_ratio = {:.2} (warm {:.0} vs fresh {:.0} arcs/call, {} calls)",
             record.closure_arc_ratio(),
-            record.incremental.stats.perf.arcs_per_closure(),
-            record.full.stats.perf.arcs_per_closure(),
-            record.incremental.stats.perf.closure_calls,
+            record.warm.stats.perf.arcs_per_closure(),
+            record.fresh.stats.perf.arcs_per_closure(),
+            record.warm.stats.perf.closure_calls,
         );
         assert!(
             record.closure_arc_ratio() >= 1.2,
             "expected the warm engine to touch >=1.2x fewer arcs per closure call, got {:.2}x",
             record.closure_arc_ratio()
-        );
-    }
-
-    #[test]
-    fn incremental_beats_full_on_a_generated_circuit() {
-        let instance = generated_instance(300).unwrap();
-        let record = measure(&instance).unwrap();
-        assert!(
-            record.edge_relaxation_ratio() >= 5.0,
-            "expected >=5x fewer edge relaxations per check, got {:.2}x",
-            record.edge_relaxation_ratio()
         );
     }
 
@@ -496,14 +448,12 @@ mod tests {
             name: "empty".to_string(),
             vertices: 0,
             edges: 0,
-            incremental: zero_run(),
-            full: zero_run(),
+            warm: zero_run(),
+            fresh: zero_run(),
             degraded: false,
         };
-        assert_eq!(record.edge_relaxation_ratio(), 0.0);
         assert_eq!(record.closure_arc_ratio(), 0.0);
-        assert_eq!(record.incremental.stats.perf.edges_per_check(), 0.0);
-        assert_eq!(record.incremental.stats.perf.arcs_per_closure(), 0.0);
+        assert_eq!(record.warm.stats.perf.arcs_per_closure(), 0.0);
         let json = to_json(std::slice::from_ref(&record));
         // Rust formats non-finite floats exactly as `NaN`/`inf`/`-inf`
         // (note: a bare `nan` check would trip on field names like
@@ -522,30 +472,31 @@ mod tests {
             name: "probe".to_string(),
             vertices: 10,
             edges: 20,
-            incremental: EngineRun {
+            warm: EngineRun {
                 solve_seconds: 1.0,
                 objective_gain: 5,
                 stats: SolverStats::default(),
             },
-            full: EngineRun {
+            fresh: EngineRun {
                 solve_seconds: 2.0,
                 objective_gain: 5,
                 stats: SolverStats::default(),
             },
             degraded: false,
         };
-        record.incremental.stats.perf.check_nanos = 400_000_000;
-        record.incremental.stats.perf.closure_nanos = 300_000_000;
-        record.incremental.stats.perf.attribute_nanos = 100_000_000;
-        record.incremental.stats.perf.commit_nanos = 100_000_000;
-        record.incremental.stats.perf.closure_skips = 7;
-        record.incremental.stats.perf.violations_batched = 42;
-        record.incremental.stats.perf.member_clone_bytes = 4096;
+        record.warm.stats.perf.check_nanos = 400_000_000;
+        record.warm.stats.perf.closure_nanos = 300_000_000;
+        record.warm.stats.perf.attribute_nanos = 100_000_000;
+        record.warm.stats.perf.commit_nanos = 100_000_000;
+        record.warm.stats.perf.closure_skips = 7;
+        record.warm.stats.perf.violations_batched = 42;
+        record.warm.stats.perf.member_clone_bytes = 4096;
         let table = profile_table(&record);
         for needle in [
             "check",
             "closure",
-            "warm",
+            // The closure phase's warm-engine sub-row, not the header.
+            "\n    warm ",
             "attribute",
             "commit",
             "other",
@@ -556,7 +507,7 @@ mod tests {
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
         }
-        // 400ms of 1.0s -> 40.0% share for the incremental check phase.
+        // 400ms of 1.0s -> 40.0% share for the warm run's check phase.
         assert!(table.contains("40.0%"), "{table}");
     }
 }

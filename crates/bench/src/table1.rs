@@ -229,6 +229,7 @@ mod tests {
 
     #[test]
     fn tiny_run_produces_rows() {
+        let _ser = crate::ser_engine_lock();
         let mut options = Table1Options::tiny();
         options.filter = Some("b14_1".to_string());
         let rows = run_table1(&options);
@@ -240,6 +241,7 @@ mod tests {
 
     #[test]
     fn summary_averages() {
+        let _ser = crate::ser_engine_lock();
         let mut options = Table1Options::tiny();
         options.filter = Some("b14".to_string());
         let rows = run_table1(&options);

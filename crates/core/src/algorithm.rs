@@ -27,7 +27,7 @@ use retime::{RetimeGraph, Retiming, VertexId};
 
 use crate::closure::ConstraintSystem;
 use crate::closure_inc::{ClosureEngine, IncrementalClosure};
-use crate::incremental::{IncrementalChecker, PerfCounters};
+use crate::perf::PerfCounters;
 use crate::problem::Problem;
 use crate::supervisor::{
     instance_digest, memory_estimate, Checkpoint, DegradationReport, DegradedSolution, Sabotage,
@@ -64,15 +64,6 @@ pub struct SolverConfig {
     /// paper's Theorem 2 claims. Set `false` for the paper-literal
     /// schedule.
     pub bidirectional: bool,
-    /// Use the incremental constraint-checking engine
-    /// ([`crate::incremental`]). The default `true` re-relaxes only the
-    /// dirty region of each tentative move; `false` forces the
-    /// from-scratch checker on every iteration (the engines are
-    /// bit-identical, so this is purely a performance knob).
-    pub incremental: bool,
-    /// Fall back to a full recompute when the dirty region exceeds
-    /// this percentage of `|V|` (only meaningful with `incremental`).
-    pub max_dirty_percent: u32,
     /// Which max-gain closure engine selects each iteration's move set
     /// ([`crate::closure_inc`]). The default warm-started engine
     /// persists the flow network's residual across iterations; `Fresh`
@@ -80,7 +71,7 @@ pub struct SolverConfig {
     /// canonical closure-selection rule, so this is purely a
     /// performance knob).
     pub closure_engine: ClosureEngine,
-    /// Test-only fault injection into the incremental engines; see
+    /// Test-only fault injection into the warm closure engine; see
     /// [`Sabotage`]. Production code leaves this at the default
     /// [`Sabotage::None`].
     #[doc(hidden)]
@@ -93,8 +84,6 @@ impl Default for SolverConfig {
             enable_p2: true,
             max_iterations: None,
             bidirectional: true,
-            incremental: true,
-            max_dirty_percent: 50,
             closure_engine: ClosureEngine::default(),
             sabotage: Sabotage::None,
         }
@@ -121,27 +110,14 @@ impl SolverConfig {
         self
     }
 
-    /// Sets whether the incremental constraint checker is used.
-    pub fn with_incremental(mut self, incremental: bool) -> Self {
-        self.incremental = incremental;
-        self
-    }
-
-    /// Sets the dirty-region fallback threshold as a percentage of
-    /// `|V|`.
-    pub fn with_max_dirty_percent(mut self, percent: u32) -> Self {
-        self.max_dirty_percent = percent;
-        self
-    }
-
     /// Selects the closure engine ([`ClosureEngine::Warm`] by default).
     pub fn with_closure_engine(mut self, engine: ClosureEngine) -> Self {
         self.closure_engine = engine;
         self
     }
 
-    /// Test-only: injects a fault into an incremental engine so the
-    /// supervisor's circuit breakers can be exercised.
+    /// Test-only: injects a fault into the warm closure engine so the
+    /// supervisor's circuit breaker can be exercised.
     #[doc(hidden)]
     pub fn with_sabotage(mut self, sabotage: Sabotage) -> Self {
         self.sabotage = sabotage;
@@ -172,8 +148,8 @@ pub struct SolverStats {
     pub p1_fixes: usize,
     /// P2 violations repaired (the MinObsWin-specific machinery).
     pub p2_fixes: usize,
-    /// Constraint-checking perf counters (edges relaxed, dirty-region
-    /// sizes, incremental/full split, per-phase nanos).
+    /// Work counters and per-phase nanos (checks, closure calls and
+    /// arcs, learning, commits).
     pub perf: PerfCounters,
     /// How far the supervisor degraded this run (breaker trips, budget
     /// stops, restarts); [`DegradationReport::is_clean`] on a healthy
@@ -277,16 +253,14 @@ pub(crate) fn run_supervised_solver(
     )?;
 
     // Final verification gate: the last rung of the degradation
-    // ladder. An engine corruption that slipped between sampled audits
-    // can only surface here; redo the whole solve with the
-    // from-scratch engines (bit-identical by construction, so this is
-    // always sound — just slow).
+    // ladder. Every commit already passed `find_violations`, so only a
+    // bug can fail it; redo the whole solve with the from-scratch
+    // closure engine (bit-identical by construction, so this is always
+    // sound — just slow).
     if check_feasible(graph, problem, &r).is_err() {
         rt.report.full_restart = true;
-        rt.trip_checker(stats.iterations, TripCause::Divergence);
         stats.perf.breaker_trips += 1;
         let safe = config
-            .with_incremental(false)
             .with_closure_engine(ClosureEngine::Fresh)
             .with_sabotage(Sabotage::None);
         r = solve_loop(graph, problem, initial, safe, &mut rt, &mut stats, None)?;
@@ -463,13 +437,10 @@ fn run_phase(
         seed.replay(&mut system);
     }
 
-    // Engines are gated on their circuit breakers: once tripped (this
-    // phase or an earlier one), the fallback engine serves the rest of
-    // the solve.
-    let mut checker = (config.incremental && rt.checker_allowed())
-        .then(|| IncrementalChecker::new(graph, problem, r.clone(), config.max_dirty_percent));
     // One warm closure engine per phase: it observes `system`'s change
-    // log, so its lifetime must match the constraint system's.
+    // log, so its lifetime must match the constraint system's. It is
+    // gated on its circuit breaker: once tripped (this phase or an
+    // earlier one), the fresh engine serves the rest of the solve.
     let mut warm_closure = match config.closure_engine {
         ClosureEngine::Warm { rebuild_percent } if rt.closure_allowed() => {
             Some(IncrementalClosure::new(rebuild_percent))
@@ -587,67 +558,13 @@ fn run_phase(
             r_tent.add(v, sign * system.weight(v));
         }
         let t_check = Instant::now();
-        // --- Constraint check, isolated and audited. ---
-        // The checker enumerates *every* violation of the tentative
-        // move in canonical order; the learning step below attributes
-        // and applies the whole batch, so each closure re-solve digests
-        // all the constraints one tentative retiming implies instead of
-        // rediscovering them one at a time.
-        let mut checked: Option<Vec<Violation>> = None;
-        if let Some(chk) = checker.as_mut() {
-            let sabotage = config.sabotage;
-            let check = stats.perf.checks() + 1;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut verdicts = chk.check_all_and_commit(&r_tent, &move_set, &mut stats.perf);
-                let mut first = verdicts.first().cloned();
-                let sabotaged = sabotage.corrupt_verdict(check, &mut first);
-                if sabotaged {
-                    verdicts = first.into_iter().collect();
-                } else {
-                    // Differential oracle: in debug builds every single
-                    // check is compared against the from-scratch engine.
-                    debug_assert_eq!(
-                        verdicts,
-                        find_violations(graph, problem, &r_tent),
-                        "incremental checker diverged from the from-scratch oracle"
-                    );
-                }
-                verdicts
-            }));
-            match outcome {
-                Ok(verdicts) => checked = Some(verdicts),
-                Err(_) => {
-                    rt.trip_checker(stats.iterations, TripCause::Panic);
-                    stats.perf.breaker_trips += 1;
-                }
-            }
-        }
-        if !rt.checker_allowed() {
-            checker = None;
-        }
-        let verdicts = match checked {
-            Some(verdicts) => {
-                if checker.is_some() && rt.audit_due(stats.perf.checks()) {
-                    stats.perf.audit_checks += 1;
-                    let oracle = find_violations(graph, problem, &r_tent);
-                    if verdicts != oracle {
-                        rt.trip_checker(stats.iterations, TripCause::Divergence);
-                        stats.perf.breaker_trips += 1;
-                        checker = None;
-                        oracle
-                    } else {
-                        verdicts
-                    }
-                } else {
-                    verdicts
-                }
-            }
-            None => {
-                stats.perf.full_checks += 1;
-                stats.perf.edges_relaxed_full += graph.num_edges() as u64;
-                find_violations(graph, problem, &r_tent)
-            }
-        };
+        // Every violation of the tentative move, in canonical order: the
+        // learning step below attributes and applies the whole batch,
+        // so each closure re-solve digests all the constraints one
+        // tentative retiming implies instead of rediscovering them one
+        // at a time.
+        let verdicts = find_violations(graph, problem, &r_tent);
+        stats.perf.checks += 1;
         stats.perf.check_nanos += t_check.elapsed().as_nanos() as u64;
         if verdicts.is_empty() {
             let t_commit = Instant::now();
@@ -677,7 +594,7 @@ fn run_phase(
             // weights, add arcs or freeze — all monotone — so applying
             // them together preserves the termination argument), and
             // the processing order is the canonical violation order, so
-            // both engines learn identically.
+            // both closure engines learn identically.
             debug_assert!(move_set.is_sorted(), "attribute binary-searches it");
             let mut changed = false;
             let mut anchor: Option<VertexId> = None;

@@ -1,9 +1,8 @@
 //! Warm-started incremental selection of maximum-gain closed sets.
 //!
 //! The solver calls [`crate::closure::ConstraintSystem::max_gain_closed_set`]
-//! once per loop iteration, and after PR 2 made constraint *checking*
-//! ~1000× cheaper that min-cut became the dominant cost (~98% of solve
-//! time, `closure_nanos` in `BENCH_solver.json`): every iteration
+//! once per loop iteration, and that min-cut is the dominant cost of
+//! a solve (`closure_nanos` in `BENCH_solver.json`): every iteration
 //! rebuilt the flow network and ran Dinic from zero flow, even though
 //! successive iterations differ only by the last violation's deltas —
 //! one weight raise, one constraint arc, or one freeze.
@@ -29,11 +28,10 @@
 //! repaired residual** instead of zero flow, and the closure is
 //! re-extracted from the new maximum flow. When a delta batch dirties
 //! more than `rebuild_percent` percent of the vertices the engine
-//! falls back to a fresh build (mirroring the checker's
-//! `max_dirty_percent`), and when no deltas are pending — the common
-//! case right after a commit, which leaves the constraint system
-//! untouched — the previous member list is served from cache without
-//! touching a single arc.
+//! falls back to a fresh build, and when no deltas are pending — the
+//! common case right after a commit, which leaves the constraint
+//! system untouched — the previous member list is served from cache
+//! without touching a single arc.
 //!
 //! # Why the result is bit-identical to the from-scratch engine
 //!
@@ -56,7 +54,7 @@ use std::time::Instant;
 use retime::VertexId;
 
 use crate::closure::ConstraintSystem;
-use crate::incremental::PerfCounters;
+use crate::perf::PerfCounters;
 
 const INF: i64 = i64::MAX / 4;
 

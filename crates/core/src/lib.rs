@@ -17,8 +17,6 @@
 //! * [`SolverSession`]: **Algorithm 1 (MinObsWin)** — and, with
 //!   [`algorithm::SolverConfig::with_p2`]`(false)`, the *Efficient
 //!   MinObs* baseline of ref \[17\],
-//! * [`incremental::IncrementalChecker`]: the dirty-cone constraint
-//!   engine behind the solver's per-move feasibility checks,
 //! * [`closure_inc::IncrementalClosure`]: the warm-started max-gain
 //!   closure engine (select with
 //!   [`algorithm::SolverConfig::with_closure_engine`]),
@@ -51,9 +49,9 @@ pub mod closure;
 pub mod closure_inc;
 pub mod experiment;
 pub mod forest;
-pub mod incremental;
 pub mod init;
 pub mod minobs;
+pub mod perf;
 mod problem;
 pub mod session;
 pub mod supervisor;
@@ -100,7 +98,7 @@ pub enum SolveError {
     Checkpoint(String),
     /// The solver's final verification gate failed even after the
     /// from-scratch re-solve (indicates a bug in the core algorithm,
-    /// not the incremental engines).
+    /// not the warm closure engine).
     Verification(String),
 }
 

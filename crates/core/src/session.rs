@@ -91,8 +91,8 @@ impl<'a> SolverSession<'a> {
         run_solver(self.graph, self.problem, initial, self.config)
     }
 
-    /// Runs the solver under [`Supervision`]: budgets, panic-isolated
-    /// incremental engines with self-healing fallback, and
+    /// Runs the solver under [`Supervision`]: budgets, a panic-isolated
+    /// warm closure engine with self-healing fallback, and
     /// checkpoint/resume (see [`crate::supervisor`]). With the default
     /// supervision this behaves exactly like [`SolverSession::run`]
     /// and the outcome is always [`SolveOutcome::Complete`].
@@ -143,26 +143,6 @@ mod tests {
         let defaulted = SolverSession::new(&g, &p).run().unwrap();
         assert_eq!(explicit.retiming, defaulted.retiming);
         assert_eq!(explicit.objective_gain, defaulted.objective_gain);
-    }
-
-    #[test]
-    fn incremental_and_full_engines_agree() {
-        let (g, p) = instance(10);
-        // The tiny pipeline's dirty cones exceed the default 50% cap,
-        // so raise it to actually exercise the incremental path.
-        let incremental = SolverSession::new(&g, &p)
-            .config(SolverConfig::default().with_max_dirty_percent(100))
-            .run()
-            .unwrap();
-        let full = SolverSession::new(&g, &p)
-            .config(SolverConfig::default().with_incremental(false))
-            .run()
-            .unwrap();
-        assert_eq!(incremental.retiming, full.retiming);
-        assert_eq!(incremental.objective_gain, full.objective_gain);
-        assert_eq!(incremental.stats.commits, full.stats.commits);
-        assert!(incremental.stats.perf.incremental_checks > 0);
-        assert_eq!(full.stats.perf.incremental_checks, 0);
     }
 
     #[test]

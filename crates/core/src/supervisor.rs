@@ -1,11 +1,10 @@
 //! The resilient solve supervisor: cooperative budgets, panic
 //! isolation with self-healing engine fallback, and checkpoint/resume.
 //!
-//! The fast paths added by the incremental engines
-//! ([`crate::incremental`], [`crate::closure_inc`]) are protected in
-//! debug builds by differential oracles that vanish in release builds.
-//! This module is the release-mode safety net around them, plus the
-//! operational controls a long-running solve needs:
+//! The warm closure engine ([`crate::closure_inc`]) is protected in
+//! debug builds by a differential oracle that vanishes in release
+//! builds. This module is the release-mode safety net around it, plus
+//! the operational controls a long-running solve needs:
 //!
 //! * **Budgets** — [`SolveBudget`] bounds wall time, iterations and an
 //!   estimated memory footprint. Expiry is communicated through a
@@ -13,13 +12,12 @@
 //!   phase boundaries; the solver then returns
 //!   [`SolveOutcome::Degraded`] carrying the best feasible retiming
 //!   found so far instead of erroring.
-//! * **Circuit breakers** — each incremental engine call runs under
+//! * **Circuit breaker** — each warm closure call runs under
 //!   `catch_unwind`, and every Nth call is audited against the
-//!   from-scratch engine. A panic or a divergence trips a per-engine
-//!   breaker that permanently falls back Warm→Fresh (closure) or
-//!   Incremental→Full (checker) for the rest of the solve. Trips are
-//!   recorded in the [`DegradationReport`] surfaced through
-//!   [`crate::algorithm::SolverStats`].
+//!   from-scratch engine. A panic or a divergence trips the breaker,
+//!   which permanently falls back Warm→Fresh for the rest of the
+//!   solve. Trips are recorded in the [`DegradationReport`] surfaced
+//!   through [`crate::algorithm::SolverStats`].
 //! * **Checkpoints** — [`Checkpoint`] serializes the solver state
 //!   (retiming labels, constraint weights, frozen set, active arcs,
 //!   iteration counts) to a caller-supplied [`CheckpointSink`] so an
@@ -28,8 +26,8 @@
 //! The degradation ladder, from fastest to most conservative:
 //!
 //! ```text
-//! warm closure + incremental checker      (default)
-//!   └─ breaker trip ──▶ fresh closure / full checker (per engine)
+//! warm closure                            (default)
+//!   └─ breaker trip ──▶ fresh closure
 //!        └─ final verification failure ──▶ full from-scratch re-solve
 //! ```
 
@@ -187,7 +185,7 @@ impl fmt::Display for TripCause {
 }
 
 /// One circuit-breaker trip. Breakers are permanent for the rest of
-/// the solve, so each engine trips at most once.
+/// the solve, so each breaker trips at most once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BreakerTrip {
     /// The solver iteration (total, across phases) at which the
@@ -204,8 +202,6 @@ pub struct BreakerTrip {
 pub struct DegradationReport {
     /// The warm closure engine's breaker (fallback: fresh builds).
     pub closure_trip: Option<BreakerTrip>,
-    /// The incremental checker's breaker (fallback: full recomputes).
-    pub checker_trip: Option<BreakerTrip>,
     /// The parallel SER engine's sampled-audit breaker (fallback: the
     /// scalar simulation/ODC engine). `iteration` is 0: the trip
     /// happens during simulation, before the solve loop starts.
@@ -213,8 +209,8 @@ pub struct DegradationReport {
     /// Set when a budget stopped the solve early.
     pub budget_stop: Option<StopReason>,
     /// The final verification gate found the result infeasible and the
-    /// whole solve was redone with the from-scratch engines (the last
-    /// rung of the degradation ladder).
+    /// whole solve was redone with the from-scratch closure engine (the
+    /// last rung of the degradation ladder).
     pub full_restart: bool,
     /// Checkpoint writes that failed (the solve continues; the sink
     /// error is not fatal).
@@ -226,7 +222,6 @@ impl DegradationReport {
     /// restart, no failed checkpoint writes.
     pub fn is_clean(&self) -> bool {
         self.closure_trip.is_none()
-            && self.checker_trip.is_none()
             && self.ser_trip.is_none()
             && self.budget_stop.is_none()
             && !self.full_restart
@@ -244,14 +239,6 @@ impl fmt::Display for DegradationReport {
             write!(
                 f,
                 "closure breaker tripped ({}, iter {})",
-                t.cause, t.iteration
-            )?;
-            sep = "; ";
-        }
-        if let Some(t) = self.checker_trip {
-            write!(
-                f,
-                "{sep}checker breaker tripped ({}, iter {})",
                 t.cause, t.iteration
             )?;
             sep = "; ";
@@ -280,10 +267,10 @@ impl fmt::Display for DegradationReport {
 }
 
 /// Test-only fault injection, reachable through
-/// `SolverConfig::with_sabotage`. `at` is the 1-based engine call
+/// `SolverConfig::with_sabotage`. `at` is the 1-based closure call
 /// index from which the fault fires (every call from there on). Public
-/// so integration tests can poison the engines; hidden from docs and
-/// never set by production code.
+/// so integration tests can poison the warm closure engine; hidden
+/// from docs and never set by production code.
 #[doc(hidden)]
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub enum Sabotage {
@@ -301,17 +288,6 @@ pub enum Sabotage {
         /// First affected call (1-based).
         at: u64,
     },
-    /// The incremental checker panics on every check ≥ `at`.
-    PanicChecker {
-        /// First affected check (1-based).
-        at: u64,
-    },
-    /// The incremental checker's verdict is corrupted (violations are
-    /// suppressed) on every check ≥ `at`.
-    WrongChecker {
-        /// First affected check (1-based).
-        at: u64,
-    },
 }
 
 impl Sabotage {
@@ -327,21 +303,6 @@ impl Sabotage {
                 if members.pop().is_none() {
                     members.push(VertexId::new(1));
                 }
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Corrupts (or panics on) a checker verdict. Returns `true` if
-    /// the verdict was modified.
-    pub(crate) fn corrupt_verdict<V>(self, check: u64, verdict: &mut Option<V>) -> bool {
-        match self {
-            Sabotage::PanicChecker { at } if check >= at => {
-                panic!("sabotage: forced checker panic at check {check}")
-            }
-            Sabotage::WrongChecker { at } if check >= at && verdict.is_some() => {
-                *verdict = None;
                 true
             }
             _ => false,
@@ -769,8 +730,8 @@ impl Default for Supervision {
     }
 }
 
-/// Default sampled-audit interval: every Nth incremental-engine call
-/// is re-run on the from-scratch engine and compared bit-for-bit.
+/// Default sampled-audit interval: every Nth warm closure call is
+/// re-run on the from-scratch engine and compared bit-for-bit.
 pub const DEFAULT_AUDIT_INTERVAL: u64 = 64;
 
 /// Default progress-stream interval: [`Supervision::on_progress`]
@@ -813,7 +774,7 @@ impl Supervision {
         self
     }
 
-    /// Audits every `n`th incremental-engine call against the
+    /// Audits every `n`th warm closure call against the
     /// from-scratch oracle (default [`DEFAULT_AUDIT_INTERVAL`];
     /// clamped to at least 1 — 1 audits every call).
     #[must_use]
@@ -968,19 +929,9 @@ impl SupervisorRt {
         self.report.closure_trip.is_none()
     }
 
-    pub(crate) fn checker_allowed(&self) -> bool {
-        self.report.checker_trip.is_none()
-    }
-
     pub(crate) fn trip_closure(&mut self, iteration: usize, cause: TripCause) {
         if self.report.closure_trip.is_none() {
             self.report.closure_trip = Some(BreakerTrip { iteration, cause });
-        }
-    }
-
-    pub(crate) fn trip_checker(&mut self, iteration: usize, cause: TripCause) {
-        if self.report.checker_trip.is_none() {
-            self.report.checker_trip = Some(BreakerTrip { iteration, cause });
         }
     }
 

@@ -3,7 +3,7 @@
 
 use retime::labels::{P1Violation, P2Violation};
 use retime::timing::zero_weight_topo;
-use retime::{EdgeId, LrLabels, RetimeGraph, Retiming, VertexId};
+use retime::{EdgeId, LrLabels, RetimeGraph, Retiming};
 
 use crate::problem::Problem;
 
@@ -59,9 +59,8 @@ pub fn find_violation(graph: &RetimeGraph, problem: &Problem, r: &Retiming) -> O
 /// vertex id. The first element is exactly [`find_violation`]'s
 /// answer; an empty vector means `r` is feasible.
 ///
-/// This is the from-scratch oracle for the solver's batched
-/// constraint-learning step (the incremental checker's
-/// `check_all_and_commit` must be bit-identical to it).
+/// This is the solver's per-move constraint check: its batched
+/// learning step attributes every violation in this order.
 pub fn find_violations(graph: &RetimeGraph, problem: &Problem, r: &Retiming) -> Vec<Violation> {
     let mut out = Vec::new();
     for (i, _) in graph.edges().iter().enumerate() {
@@ -108,62 +107,6 @@ pub fn check_feasible(
         None => Ok(()),
         Some(v) => Err(v),
     }
-}
-
-/// Counts all violations (diagnostics; the solver only ever needs the
-/// first).
-pub fn count_violations(
-    graph: &RetimeGraph,
-    problem: &Problem,
-    r: &Retiming,
-) -> (usize, usize, usize) {
-    let mut p0 = 0;
-    for i in 0..graph.num_edges() {
-        if graph.retimed_weight(EdgeId::new(i), r) < 0 {
-            p0 += 1;
-        }
-    }
-    if p0 > 0 {
-        return (p0, 0, 0);
-    }
-    let order = zero_weight_topo(graph, r).expect("valid");
-    let labels = LrLabels::compute_with_order(graph, r, problem.params, &order);
-    let mut p1 = 0;
-    for &v in &order {
-        if let Some(l) = labels.l(v) {
-            if l < graph.delay(v) {
-                p1 += 1;
-            }
-        }
-    }
-    let mut p2 = 0;
-    for (i, edge) in graph.edges().iter().enumerate() {
-        let e = EdgeId::new(i);
-        if edge.to.is_host() || graph.retimed_weight(e, r) <= 0 {
-            continue;
-        }
-        if let Some(sp) = labels.short_path(graph, edge.to) {
-            if sp < problem.r_min {
-                p2 += 1;
-            }
-        }
-    }
-    (0, p1, p2)
-}
-
-/// The vertex blamed for a violation (used to anchor the new active
-/// constraint) plus the vertex that must join the decrease and by how
-/// much *in total* under the tentative move.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConstraintRequest {
-    /// `p`: a vertex of the current move set responsible for the
-    /// violation.
-    pub p: VertexId,
-    /// `q`: the vertex that must also decrease (the host when the fix
-    /// is impossible — move must be frozen).
-    pub q: VertexId,
-    /// Additional decrease of `q` required on top of its current plan.
-    pub extra: i64,
 }
 
 #[cfg(test)]
@@ -225,14 +168,5 @@ mod tests {
             Some(Violation::P2(_)) => {}
             other => panic!("expected P2 first, got {other:?}"),
         }
-    }
-
-    #[test]
-    fn violation_counters() {
-        let (_, g, p) = instance(2, 1);
-        let (p0, p1, p2) = count_violations(&g, &p, &Retiming::zero(&g));
-        assert_eq!(p0, 0);
-        assert!(p1 > 0);
-        assert_eq!(p2, 0);
     }
 }

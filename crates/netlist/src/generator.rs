@@ -242,7 +242,9 @@ impl GeneratorConfig {
             .collect();
         rng.shuffle(&mut dangling);
         let mut chosen: Vec<usize> = dangling.iter().copied().take(self.num_outputs).collect();
-        while chosen.len() < self.num_outputs {
+        // Outputs are distinct gates, so there can be no more than the
+        // gates there are.
+        while chosen.len() < self.num_outputs.min(self.num_gates) {
             let pick = rng.gen_range(self.num_gates);
             if !chosen.contains(&pick) {
                 chosen.push(pick);
@@ -540,6 +542,17 @@ mod tests {
         assert_eq!(c.inputs().len(), 10);
         assert!(c.outputs().len() >= 6, "dangles may add outputs");
         assert_eq!(c.num_registers(), 45);
+    }
+
+    #[test]
+    fn more_outputs_than_gates_terminates() {
+        for g in 2..=12 {
+            let c = GeneratorConfig::new("tiny", g as u64)
+                .gates(g)
+                .outputs(12)
+                .build();
+            assert!(c.outputs().len() >= g.min(12), "{g} gates");
+        }
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! Streaming line input for the netlist parsers.
 //!
 //! Every text front end (`blif`, `bench_format`, `verilog`) reads its
-//! input through [`LineSource`]: a buffered line reader that fuses the
+//! input through `LineSource`: a buffered line reader that fuses the
 //! old whole-file [`ParseLimits`] pre-scan (line length, control
 //! characters) with tokenization, so a parser sees one checked line at
 //! a time and no format ever materializes the whole file. Over-long

@@ -100,13 +100,6 @@ pub struct P2Violation {
     pub short_path: i64,
 }
 
-/// Saved label entries of a vertex set, produced by
-/// [`LrLabels::snapshot`] and consumed by [`LrLabels::restore`].
-#[derive(Debug, Clone)]
-pub struct LabelSnapshot {
-    entries: Vec<(VertexId, i64, i64, VertexId, VertexId)>,
-}
-
 /// The computed `L`/`R` labels with witnesses.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct LrLabels {
@@ -156,20 +149,19 @@ impl LrLabels {
     }
 
     /// Recomputes the labels of one vertex from its fanouts' current
-    /// labels under `r`. Returns the number of out-edges relaxed.
+    /// labels under `r`.
     ///
     /// Correct only when every combinational fanout of `u` (under `r`)
     /// already carries its final label — the caller is responsible for
     /// the processing order (reverse topological over the zero-weight
-    /// subgraph, or a dirty region thereof).
-    fn recompute_vertex(&mut self, graph: &RetimeGraph, r: &Retiming, u: VertexId) -> u64 {
+    /// subgraph).
+    fn recompute_vertex(&mut self, graph: &RetimeGraph, r: &Retiming, u: VertexId) {
         let params = self.params;
         let mut best_l = L_EMPTY;
         let mut best_r = R_EMPTY;
         let mut wit_l = RetimeGraph::HOST;
         let mut wit_r = RetimeGraph::HOST;
-        let out = graph.out_edges(u);
-        for &e in out {
+        for &e in graph.out_edges(u) {
             let edge = graph.edge(e);
             let is_ro = edge.to.is_host() || graph.retimed_weight(e, r) > 0;
             if is_ro {
@@ -205,50 +197,6 @@ impl LrLabels {
         self.r[ui] = best_r;
         self.lt[ui] = wit_l;
         self.rt[ui] = wit_r;
-        out.len() as u64
-    }
-
-    /// Re-relaxes the labels of a dirty region in place under a new
-    /// retiming `r`. `ordered` must list every vertex whose label may
-    /// have changed, in a valid processing order (each vertex after all
-    /// of its in-region combinational fanouts under `r`) — exactly what
-    /// [`crate::timing::DirtyCone::compute`] produces. Labels outside
-    /// the region are trusted as-is.
-    ///
-    /// Returns the number of edges relaxed (the incremental engine's
-    /// headline perf counter).
-    pub fn relax_region(&mut self, graph: &RetimeGraph, r: &Retiming, ordered: &[VertexId]) -> u64 {
-        let mut edges = 0u64;
-        for &u in ordered {
-            edges += self.recompute_vertex(graph, r, u);
-        }
-        edges
-    }
-
-    /// Saves the label entries of a vertex set, for rollback after a
-    /// speculative [`LrLabels::relax_region`] whose retiming is then
-    /// rejected.
-    pub fn snapshot(&self, vertices: &[VertexId]) -> LabelSnapshot {
-        LabelSnapshot {
-            entries: vertices
-                .iter()
-                .map(|&v| {
-                    let i = v.index();
-                    (v, self.l[i], self.r[i], self.lt[i], self.rt[i])
-                })
-                .collect(),
-        }
-    }
-
-    /// Restores label entries saved by [`LrLabels::snapshot`].
-    pub fn restore(&mut self, snapshot: &LabelSnapshot) {
-        for &(v, l, r, lt, rt) in &snapshot.entries {
-            let i = v.index();
-            self.l[i] = l;
-            self.r[i] = r;
-            self.lt[i] = lt;
-            self.rt[i] = rt;
-        }
     }
 
     /// The clocking parameters the labels were computed for.
@@ -303,8 +251,7 @@ impl LrLabels {
     /// Every combinational predecessor `u` of a violating vertex `v`
     /// also violates (`slack(u) ≤ slack(v) − d(u) < 0`), so restricting
     /// to heads loses no violations; selecting the minimum index makes
-    /// the answer independent of traversal order, which the incremental
-    /// checker relies on for bit-identity with this from-scratch scan.
+    /// the answer independent of traversal order.
     pub fn find_p1_violation(&self, graph: &RetimeGraph, r: &Retiming) -> Option<P1Violation> {
         graph
             .vertices()
@@ -312,9 +259,9 @@ impl LrLabels {
     }
 
     /// The canonical P1 check for a single vertex: `Some` iff `v` has
-    /// negative slack **and** is a path head under `r`. Shared by the
-    /// from-scratch scan and the incremental checker so both apply the
-    /// exact same rule.
+    /// negative slack **and** is a path head under `r`. Shared by
+    /// [`LrLabels::find_p1_violation`] and the solver's full violation
+    /// enumeration so both apply the exact same rule.
     pub fn p1_violation_at(
         &self,
         graph: &RetimeGraph,
@@ -357,8 +304,9 @@ impl LrLabels {
 
     /// The canonical P2 check for a single edge: `Some` iff `e` is a
     /// registered non-host edge under `r` whose head's short path is
-    /// below `r_min`. Shared by the from-scratch scan and the
-    /// incremental checker so both apply the exact same rule.
+    /// below `r_min`. Shared by [`LrLabels::find_p2_violation`] and the
+    /// solver's full violation enumeration so both apply the exact same
+    /// rule.
     pub fn p2_violation_at(
         &self,
         graph: &RetimeGraph,
@@ -469,46 +417,6 @@ mod tests {
     fn no_p1_violation_when_phi_ample() {
         let (_, g, r, labels) = setup(10);
         assert!(labels.find_p1_violation(&g, &r).is_none());
-    }
-
-    #[test]
-    fn snapshot_restore_round_trip() {
-        let (c, g, _, mut labels) = setup(10);
-        let all: Vec<_> = g.vertices().collect();
-        let before = labels.clone();
-        let snap = labels.snapshot(&all);
-        // Re-relax everything under a shifted retiming (register moved
-        // backward over s2): the labels change, restore brings back the
-        // exact prior state.
-        let mut r2 = Retiming::zero(&g);
-        r2.set(g.vertex_of(c.find("s2").unwrap()).unwrap(), 1);
-        g.check_nonnegative(&r2).unwrap();
-        let rev: Vec<_> = zero_weight_topo(&g, &r2)
-            .unwrap()
-            .into_iter()
-            .rev()
-            .collect();
-        labels.relax_region(&g, &r2, &rev);
-        assert_ne!(labels, before, "shifted retiming must move labels");
-        labels.restore(&snap);
-        assert_eq!(labels, before);
-    }
-
-    #[test]
-    fn relax_region_matches_full_recompute() {
-        let (c, g, _, mut labels) = setup(10);
-        let mut r2 = Retiming::zero(&g);
-        r2.set(g.vertex_of(c.find("s2").unwrap()).unwrap(), 1);
-        g.check_nonnegative(&r2).unwrap();
-        let rev: Vec<_> = zero_weight_topo(&g, &r2)
-            .unwrap()
-            .into_iter()
-            .rev()
-            .collect();
-        let edges = labels.relax_region(&g, &r2, &rev);
-        assert!(edges > 0);
-        let fresh = LrLabels::compute(&g, &r2, labels.params()).unwrap();
-        assert_eq!(labels, fresh);
     }
 
     #[test]

@@ -52,4 +52,4 @@ pub mod timing;
 
 pub use error::RetimeError;
 pub use graph::{Edge, EdgeId, RetimeGraph, Retiming, VertexId};
-pub use labels::{ElwParams, LabelSnapshot, LrLabels, P1Violation, P2Violation};
+pub use labels::{ElwParams, LrLabels, P1Violation, P2Violation};

@@ -135,137 +135,6 @@ impl ArrivalScratch {
     }
 }
 
-/// Reusable scratch space for computing the *dirty cone* of a
-/// tentative retiming move: the set of vertices whose `L`/`R` labels
-/// may differ between a base retiming `r_old` and a tentative `r_new`.
-///
-/// The seeds are the tails of edges whose retimed weight changed; the
-/// cone is their backward closure along edges that are combinational
-/// under **either** retiming (labels propagate backward over
-/// zero-weight edges, and an edge entering or leaving the zero-weight
-/// subgraph changes its tail's label inputs). Vertices outside the
-/// cone keep their labels verbatim, which is what makes in-place
-/// [`crate::labels::LrLabels::relax_region`] sound.
-#[derive(Debug, Default)]
-pub struct DirtyCone {
-    in_cone: Vec<bool>,
-    cone: Vec<VertexId>,
-    ordered: Vec<VertexId>,
-    indeg: Vec<usize>,
-}
-
-impl DirtyCone {
-    /// Creates an empty scratch cone (buffers grow on first use).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Computes the dirty cone for the move `r_old → r_new` from the
-    /// given `seeds`, returning its vertices ordered so that each comes
-    /// after all of its in-cone combinational fanouts under `r_new` —
-    /// the processing order
-    /// [`crate::labels::LrLabels::relax_region`] requires.
-    ///
-    /// Returns `None` when the cone would exceed `cap` vertices: the
-    /// caller should fall back to a full recompute. The returned slice
-    /// borrows internal scratch buffers and is valid until the next
-    /// call.
-    pub fn compute(
-        &mut self,
-        graph: &RetimeGraph,
-        r_old: &Retiming,
-        r_new: &Retiming,
-        seeds: &[VertexId],
-        cap: usize,
-    ) -> Option<&[VertexId]> {
-        let n = graph.num_vertices();
-        self.in_cone.clear();
-        self.in_cone.resize(n, false);
-        self.cone.clear();
-        for &s in seeds {
-            if !s.is_host() && !self.in_cone[s.index()] {
-                self.in_cone[s.index()] = true;
-                self.cone.push(s);
-            }
-        }
-        // Backward closure along edges combinational under either
-        // retiming.
-        let mut head = 0;
-        while head < self.cone.len() {
-            if self.cone.len() > cap {
-                return None;
-            }
-            let v = self.cone[head];
-            head += 1;
-            for &e in graph.in_edges(v) {
-                if !is_combinational_edge(graph, e, r_old)
-                    && !is_combinational_edge(graph, e, r_new)
-                {
-                    continue;
-                }
-                let u = graph.edge(e).from;
-                if !self.in_cone[u.index()] {
-                    self.in_cone[u.index()] = true;
-                    self.cone.push(u);
-                }
-            }
-        }
-        if self.cone.len() > cap {
-            return None;
-        }
-        // Local reverse-topological order under r_new: Kahn over the
-        // in-cone combinational out-edges. "No unprocessed in-cone
-        // combinational fanout" plays the role of in-degree zero.
-        self.indeg.clear();
-        self.indeg.resize(n, 0);
-        for &v in &self.cone {
-            let mut deg = 0;
-            for &e in graph.out_edges(v) {
-                if is_combinational_edge(graph, e, r_new) && self.in_cone[graph.edge(e).to.index()]
-                {
-                    deg += 1;
-                }
-            }
-            self.indeg[v.index()] = deg;
-        }
-        self.ordered.clear();
-        self.ordered.extend(
-            self.cone
-                .iter()
-                .copied()
-                .filter(|v| self.indeg[v.index()] == 0),
-        );
-        let mut head = 0;
-        while head < self.ordered.len() {
-            let v = self.ordered[head];
-            head += 1;
-            for &e in graph.in_edges(v) {
-                if !is_combinational_edge(graph, e, r_new) {
-                    continue;
-                }
-                let u = graph.edge(e).from;
-                if self.in_cone[u.index()] {
-                    self.indeg[u.index()] -= 1;
-                    if self.indeg[u.index()] == 0 {
-                        self.ordered.push(u);
-                    }
-                }
-            }
-        }
-        debug_assert_eq!(
-            self.ordered.len(),
-            self.cone.len(),
-            "dirty cone has a zero-weight cycle under the new retiming"
-        );
-        Some(&self.ordered)
-    }
-
-    /// The vertices of the most recently computed cone, unordered.
-    pub fn members(&self) -> &[VertexId] {
-        &self.cone
-    }
-}
-
 /// Arrival times of the retimed graph: `a(v)` is the maximum delay of
 /// any combinational path ending at (and including) `v`, measured from
 /// the registers/PIs that source the paths.
@@ -384,61 +253,6 @@ mod tests {
         let s5 = g.vertex_of(c.find("s5").unwrap()).unwrap();
         assert_eq!(arr.get(s5), 6);
         assert_eq!(arr.clock_period(), 6);
-    }
-
-    #[test]
-    fn dirty_cone_is_backward_closure_with_valid_order() {
-        // pipeline(9,3): s0..s8, registers after s2 and s5 plus the
-        // feedback register. Move the first register backward over s2.
-        let c = samples::pipeline(9, 3);
-        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let v = |name: &str| g.vertex_of(c.find(name).unwrap()).unwrap();
-        let r_old = Retiming::zero(&g);
-        let mut r_new = Retiming::zero(&g);
-        r_new.set(v("s2"), 1);
-        g.check_nonnegative(&r_new).unwrap();
-        // Changed edges: s1->s2 (0→1) and s2->s3 (1→0); seeds are the
-        // tails.
-        let seeds = [v("s1"), v("s2")];
-        let mut scratch = DirtyCone::new();
-        let ordered: Vec<VertexId> = scratch
-            .compute(&g, &r_old, &r_new, &seeds, g.num_vertices())
-            .expect("under cap")
-            .to_vec();
-        let mut sorted = ordered.clone();
-        sorted.sort();
-        // The PI vertex `in` feeds s0 combinationally, so it joins the
-        // backward closure.
-        assert_eq!(sorted, vec![v("in"), v("s0"), v("s1"), v("s2")]);
-        // s0 must come after its in-cone combinational fanout s1.
-        let pos = |x: VertexId| ordered.iter().position(|&y| y == x).unwrap();
-        assert!(pos(v("s0")) > pos(v("s1")));
-        // Cap smaller than the cone forces the fallback signal.
-        assert!(scratch.compute(&g, &r_old, &r_new, &seeds, 2).is_none());
-    }
-
-    #[test]
-    fn dirty_cone_relaxation_matches_full_recompute() {
-        use crate::labels::{ElwParams, LrLabels};
-        let c = samples::pipeline(9, 3);
-        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let v = |name: &str| g.vertex_of(c.find(name).unwrap()).unwrap();
-        let r_old = Retiming::zero(&g);
-        let mut r_new = Retiming::zero(&g);
-        r_new.set(v("s2"), 1);
-        let params = ElwParams::with_phi(10);
-        let mut labels = LrLabels::compute(&g, &r_old, params).unwrap();
-        let mut scratch = DirtyCone::new();
-        let ordered = scratch
-            .compute(&g, &r_old, &r_new, &[v("s1"), v("s2")], g.num_vertices())
-            .unwrap()
-            .to_vec();
-        labels.relax_region(&g, &r_new, &ordered);
-        let fresh = LrLabels::compute(&g, &r_new, params).unwrap();
-        assert_eq!(
-            labels, fresh,
-            "incremental relaxation must be bit-identical"
-        );
     }
 
     #[test]

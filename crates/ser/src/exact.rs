@@ -20,7 +20,7 @@
 //! disagree with it on is logic masking.
 //!
 //! The forward semantics deliberately reuse the public
-//! [`eval_gate`](crate::eval_gate) kernel but none of the arena or
+//! [`eval_gate`] kernel but none of the arena or
 //! levelization machinery, keeping the oracle structurally independent
 //! of the engines it judges.
 

@@ -16,7 +16,7 @@
 //! # Engine
 //!
 //! ODC masks live in one flat `slots × words` buffer per frame, walked
-//! level by level in *reverse* [`Levelization`](netlist::Levelization)
+//! level by level in *reverse* [`Levelization`]
 //! order (a gate's fanouts all sit on strictly higher levels, so each
 //! level's masks only read already-finalized higher slots — the mirror
 //! image of the forward simulator's `split_at_mut` scheme). The

@@ -8,7 +8,7 @@
 //! a fault at `g`'s output in frame 0 reaches an observation point (a
 //! primary output of any recorded frame, or a register input of the
 //! last frame). It is computed by one backward pass per frame over the
-//! [`Levelization`](netlist::Levelization) slot order:
+//! [`Levelization`] slot order:
 //!
 //! * a fanout `h` *sensitizes* the fault with a per-kind closed-form
 //!   probability derived from the measured signal probabilities of its

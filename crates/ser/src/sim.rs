@@ -11,7 +11,7 @@
 //! Signatures live in one flat [`SignatureArena`] (`frames × gates ×
 //! words` of `u64`) instead of per-gate heap `Signature`s, and gates
 //! are evaluated level by level in the circuit's
-//! [`Levelization`](netlist::Levelization) slot order. Because every
+//! [`Levelization`] slot order. Because every
 //! level is a contiguous slot range whose fanins all sit in lower
 //! slots, `split_at_mut` hands each level out as a disjoint mutable
 //! slice while all earlier levels stay readable — which is how the

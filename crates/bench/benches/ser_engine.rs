@@ -17,13 +17,13 @@ fn circuit_of(gates: usize) -> Circuit {
         .build()
 }
 
-fn sim_config(threads: usize) -> SimConfig {
+fn sim_config() -> SimConfig {
     SimConfig {
         num_vectors: 1024,
         frames: 15,
         warmup: 8,
         seed: 1,
-        threads,
+        threads: 1,
     }
 }
 
@@ -32,7 +32,7 @@ fn bench_simulation(c: &mut Criterion) {
     group.sample_size(10);
     for gates in [400usize, 1200] {
         let circuit = circuit_of(gates);
-        let config = sim_config(1);
+        let config = sim_config();
         group.bench_with_input(BenchmarkId::from_parameter(gates), &circuit, |b, ckt| {
             b.iter(|| FrameTrace::simulate(ckt, config))
         });
@@ -45,7 +45,7 @@ fn bench_observability(c: &mut Criterion) {
     group.sample_size(10);
     for gates in [400usize, 1200] {
         let circuit = circuit_of(gates);
-        let config = sim_config(1);
+        let config = sim_config();
         let trace = FrameTrace::simulate(&circuit, config);
         group.bench_with_input(
             BenchmarkId::from_parameter(gates),
@@ -65,19 +65,13 @@ fn bench_data_plane(c: &mut Criterion) {
     let circuit = circuit_of(gates);
     group.bench_function(BenchmarkId::new("scalar", gates), |b| {
         b.iter(|| {
-            let trace = ScalarTrace::simulate(&circuit, sim_config(1));
+            let trace = ScalarTrace::simulate(&circuit, sim_config());
             scalar::observability(&circuit, &trace)
         })
     });
-    group.bench_function(BenchmarkId::new("arena_1_thread", gates), |b| {
+    group.bench_function(BenchmarkId::new("arena", gates), |b| {
         b.iter(|| {
-            let trace = FrameTrace::simulate(&circuit, sim_config(1));
-            Observability::compute(&circuit, &trace)
-        })
-    });
-    group.bench_function(BenchmarkId::new("arena_pooled", gates), |b| {
-        b.iter(|| {
-            let trace = FrameTrace::simulate(&circuit, sim_config(0));
+            let trace = FrameTrace::simulate(&circuit, sim_config());
             Observability::compute(&circuit, &trace)
         })
     });

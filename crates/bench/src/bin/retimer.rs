@@ -12,7 +12,8 @@
 //!   --report FILE.csv                append a CSV result row
 //!   --vectors K  --frames N          simulation size (default 1024 / 15)
 //!   --seed S                         stimulus seed
-//!   --threads T                      worker threads (see "Thread counts")
+//!   --threads T                      accepted for scripts; no effect on
+//!                                    solve (see "Thread counts")
 //!   --r-min R                        override the §V-derived R_min bound
 //!                                    (an over-tight bound exits 1: infeasible)
 //!   --no-equiv                       skip the bounded equivalence check
@@ -36,9 +37,8 @@
 //!   --campaign-seed S                injection sampling seed
 //!   --pulse-width F                  transient width in delay units
 //!   --tolerance F                    relative CI widening (default 0.05)
-//!   --vectors K  --frames N  --seed S  --threads T   as above (the one
-//!                                    pool size drives both the campaign and
-//!                                    the simulation workers)
+//!   --vectors K  --frames N  --seed S  --threads T   as above (T sizes
+//!                                    the campaign's worker pool)
 //!
 //! retimer estimate INPUT[.bench|.blif|.v] [options]
 //!
@@ -125,8 +125,7 @@
 //! retimer bench-ser [options]
 //!
 //!   Benchmarks the SER simulation data plane: the legacy per-signature
-//!   scalar engine vs. the flat arena engine (single-threaded) vs. the
-//!   arena engine with a worker pool, over sample and generated
+//!   scalar engine vs. the flat arena engine, over sample and generated
 //!   circuits, writing timings and allocation counts as JSON.
 //!
 //!   --out FILE                       output path (default BENCH_ser.json)
@@ -134,20 +133,23 @@
 //!   --tier small|large|xlarge        named size tier, as for bench-solve
 //!   --samples-only                   skip the generated circuits
 //!   --vectors K  --frames N          simulation size (default 1024 / 15)
-//!   --threads T                      threaded column's pool size (see
-//!                                    "Thread counts")
 //! ```
 //!
 //! # Thread counts
 //!
-//! Every subcommand sizes its worker pool with the one canonical
-//! `--threads N` flag (`--workers` is kept as a hidden alias for
-//! scripts written against older releases). `0` — the default — defers
-//! to the `SER_THREADS` environment variable, then to all available
-//! cores; the resolution rule lives in one place,
-//! `netlist::parallel::resolve_workers`, and every threaded stage
-//! (simulation, ODC passes, fault-injection campaigns, the serve
-//! daemon's solve pool) goes through it.
+//! The SER simulation, ODC and propagation-probability passes run on
+//! one thread. The worker pools are the Monte-Carlo fault-injection
+//! campaign (`fault-sim`, `estimate`, `harden`) and the serve daemon's
+//! solve pool, and each is sized with the one canonical `--threads N`
+//! flag (`--workers` is kept as a hidden alias for scripts written
+//! against older releases). `0` — the default — defers to the
+//! `SER_THREADS` environment variable, then to all available cores;
+//! the resolution rule lives in one place,
+//! `netlist::parallel::resolve_workers`. `solve` accepts `--threads`
+//! so scripts keep working, but it has no effect there.
+//!
+//! `--vectors` must be a positive multiple of 64 and `--frames` must
+//! be positive (`SimConfig::validate`); anything else exits 2.
 //!
 //! # Exit codes
 //!
@@ -405,8 +407,34 @@ fn write_netlist(circuit: &Circuit, path: &str) -> Result<(), NetlistError> {
     }
 }
 
+/// The simulation every analysis subcommand runs (a 16-cycle warm-up
+/// before the recorded frames), rejected with exit 2 if
+/// [`SimConfig::validate`] fails.
+fn sim_config(
+    vectors: usize,
+    frames: usize,
+    seed: u64,
+    threads: usize,
+) -> Result<SimConfig, String> {
+    let sim = SimConfig {
+        num_vectors: vectors,
+        frames,
+        warmup: 16,
+        seed,
+        threads,
+    };
+    sim.validate()?;
+    Ok(sim)
+}
+
 fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     let options = parse_args(skip_subcommand)?;
+    let sim = sim_config(
+        options.vectors,
+        options.frames,
+        options.seed,
+        options.threads,
+    )?;
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
 
@@ -414,13 +442,7 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
         .with_wall_time(options.time_budget.map(std::time::Duration::from_secs_f64))
         .with_max_iterations(options.max_iters);
     let config = RunConfig::default()
-        .with_sim(SimConfig {
-            num_vectors: options.vectors,
-            frames: options.frames,
-            warmup: 16,
-            seed: options.seed,
-            threads: options.threads,
-        })
+        .with_sim(sim)
         .with_r_min_override(options.r_min)
         .with_budget(budget)
         .with_checkpoint(options.checkpoint.as_ref().map(std::path::PathBuf::from))
@@ -618,16 +640,16 @@ fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
 /// model.
 fn run_fault_sim() -> Result<u8, CliError> {
     let options = parse_fault_sim_args()?;
+    let sim = sim_config(
+        options.vectors,
+        options.frames,
+        options.seed,
+        options.threads,
+    )?;
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
 
-    let config = RunConfig::default().with_sim(SimConfig {
-        num_vectors: options.vectors,
-        frames: options.frames,
-        warmup: 16,
-        seed: options.seed,
-        threads: options.threads,
-    });
+    let config = RunConfig::default().with_sim(sim);
     let run = Experiment::new(&circuit).config(config.clone()).run()?;
     let ser_config = SerConfig {
         sim: config.sim,
@@ -859,6 +881,7 @@ fn parse_estimate_args(usage: &str) -> Result<EstimateOptions, String> {
 fn build_estimate_config(
     circuit: &Circuit,
     options: &EstimateOptions,
+    sim: SimConfig,
 ) -> Result<SerConfig, CliError> {
     let defaults = RunConfig::default();
     let phi = match options.phi {
@@ -869,13 +892,7 @@ fn build_estimate_config(
         }
     };
     Ok(SerConfig {
-        sim: SimConfig {
-            num_vectors: options.vectors,
-            frames: options.frames,
-            warmup: 16,
-            seed: options.seed,
-            threads: options.threads,
-        },
+        sim,
         delays: defaults.delays.clone(),
         rates: defaults.rates.clone(),
         elw: ElwParams {
@@ -907,9 +924,15 @@ fn run_estimate() -> Result<u8, CliError> {
          [--campaign-seed S] [--tolerance F] [--max-source-bits B] [--phi P] \
          [--vectors K] [--frames N] [--seed S] [--threads T]";
     let options = parse_estimate_args(USAGE)?;
+    let sim = sim_config(
+        options.vectors,
+        options.frames,
+        options.seed,
+        options.threads,
+    )?;
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
-    let ser_config = build_estimate_config(&circuit, &options)?;
+    let ser_config = build_estimate_config(&circuit, &options, sim)?;
     println!("Phi = {}", ser_config.elw.phi);
 
     let montecarlo = MonteCarloEstimator {
@@ -974,9 +997,15 @@ fn run_harden() -> Result<u8, CliError> {
          [--campaign-seed S] [--phi P] [--vectors K] [--frames N] [--seed S] \
          [--threads T]";
     let options = parse_estimate_args(USAGE)?;
+    let sim = sim_config(
+        options.vectors,
+        options.frames,
+        options.seed,
+        options.threads,
+    )?;
     let circuit = read_netlist(&options.input)?;
     eprintln!("read {circuit}");
-    let ser_config = build_estimate_config(&circuit, &options)?;
+    let ser_config = build_estimate_config(&circuit, &options, sim)?;
     println!("Phi = {}", ser_config.elw.phi);
 
     let campaign = CampaignConfig::new(options.injections)
@@ -1153,7 +1182,6 @@ struct BenchSerOptions {
     samples_only: bool,
     vectors: usize,
     frames: usize,
-    threads: usize,
     profile: bool,
 }
 
@@ -1165,7 +1193,6 @@ fn parse_bench_ser_args() -> Result<BenchSerOptions, String> {
         samples_only: false,
         vectors: 1024,
         frames: 15,
-        threads: 0,
         profile: false,
     };
     while let Some(arg) = args.next() {
@@ -1197,17 +1224,11 @@ fn parse_bench_ser_args() -> Result<BenchSerOptions, String> {
                     .and_then(|s| s.parse().ok())
                     .ok_or("--frames needs a positive integer")?
             }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
             "--help" | "-h" => {
                 eprintln!(
                     "usage: retimer bench-ser [--out FILE] [--gates N,N,...] \
                      [--tier small|large|xlarge] [--samples-only] [--profile] \
-                     [--vectors K] [--frames N] [--threads T]"
+                     [--vectors K] [--frames N]"
                 );
                 std::process::exit(0);
             }
@@ -1218,32 +1239,30 @@ fn parse_bench_ser_args() -> Result<BenchSerOptions, String> {
 }
 
 /// Benchmarks the SER data plane — scalar per-signature engine vs. flat
-/// arena engine vs. arena + worker pool — and writes the timings as
-/// JSON (`BENCH_ser.json`).
+/// arena engine — and writes the timings as JSON (`BENCH_ser.json`).
 fn run_bench_ser() -> Result<u8, CliError> {
     use bench_harness::ser_bench;
 
     let options = parse_bench_ser_args()?;
+    let config = ser_bench::BenchSerConfig {
+        num_vectors: options.vectors,
+        frames: options.frames,
+        ..ser_bench::BenchSerConfig::default()
+    };
+    config.sim().validate()?;
     let mut instances = ser_bench::sample_instances();
     if !options.samples_only {
         for &gates in &options.gates {
             instances.push(ser_bench::generated_instance(gates));
         }
     }
-    let config = ser_bench::BenchSerConfig {
-        num_vectors: options.vectors,
-        frames: options.frames,
-        threads: options.threads,
-        ..ser_bench::BenchSerConfig::default()
-    };
 
     let mut records = Vec::new();
     for instance in &instances {
         let record = ser_bench::measure(instance, &config);
         println!(
             "{:<16} |V| {:>6} gates  scalar {:>9.3} ms ({:>6} allocs), arena {:>9.3} ms \
-             ({:>5} allocs, {:>5.2}x, {:>6.2} ns/g·f·v), arena+{} threads {:>9.3} ms ({:>5.2}x), \
-             propprob {:>7.3} ms ({:>6.2} ns/g·f)",
+             ({:>5} allocs, {:>5.2}x, {:>6.2} ns/g·f·v), propprob {:>7.3} ms ({:>6.2} ns/g·f)",
             record.name,
             record.gates,
             record.scalar_nanos as f64 / 1e6,
@@ -1252,9 +1271,6 @@ fn run_bench_ser() -> Result<u8, CliError> {
             record.arena_allocs,
             record.arena_speedup(),
             record.arena_nanos_per_gfv(),
-            record.threads,
-            record.threaded_nanos as f64 / 1e6,
-            record.threaded_speedup(),
             record.propprob_nanos as f64 / 1e6,
             record.propprob_nanos_per_gf(),
         );

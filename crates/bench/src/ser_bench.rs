@@ -1,9 +1,9 @@
 //! Benchmark of the SER simulation data plane: the legacy
-//! per-`Signature` scalar engine vs. the flat [`SignatureArena`] engine
-//! single-threaded, vs. the arena engine with a worker pool. Each
-//! column runs the same end-to-end pipeline (`n`-frame bit-parallel
-//! simulation + ODC observability) and the engines are required to be
-//! bit-identical, so the timings compare pure data-plane cost. Shared
+//! per-`Signature` scalar engine vs. the flat [`SignatureArena`]
+//! engine. Both columns run the same end-to-end pipeline (`n`-frame
+//! bit-parallel simulation + ODC observability) and the engines are
+//! required to be bit-identical, so the timings compare pure
+//! data-plane cost. Shared
 //! by the `retimer bench-ser` subcommand and the `ser_engine` criterion
 //! bench; the JSON it emits (`BENCH_ser.json`) is the tracked baseline.
 //!
@@ -12,7 +12,7 @@
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use netlist::{parallel, samples, Circuit};
+use netlist::{samples, Circuit};
 use ser_engine::odc::Observability;
 use ser_engine::scalar::{self, ScalarTrace};
 use ser_engine::signature_allocs;
@@ -59,9 +59,6 @@ pub struct BenchSerConfig {
     pub num_vectors: usize,
     /// Recorded time frames `n`.
     pub frames: usize,
-    /// Worker pool for the threaded column (0 = resolve via
-    /// `SER_THREADS` / hardware).
-    pub threads: usize,
     /// Repetitions per column; the fastest run is reported (standard
     /// wall-clock de-noising — the minimum is the least contaminated
     /// by scheduler interference).
@@ -73,7 +70,6 @@ impl Default for BenchSerConfig {
         Self {
             num_vectors: 1024,
             frames: 15,
-            threads: 0,
             reps: 5,
         }
     }
@@ -85,23 +81,23 @@ impl BenchSerConfig {
         Self {
             num_vectors: 256,
             frames: 6,
-            threads: 2,
             reps: 1,
         }
     }
 
-    fn sim(&self, threads: usize) -> SimConfig {
+    /// The simulation every column runs.
+    pub fn sim(&self) -> SimConfig {
         SimConfig {
             num_vectors: self.num_vectors,
             frames: self.frames,
             warmup: 8,
             seed: 0xC0FFEE,
-            threads,
+            threads: 1,
         }
     }
 }
 
-/// All three engine columns over one circuit.
+/// Every engine column over one circuit.
 pub struct BenchSerRecord {
     /// Circuit name.
     pub name: String,
@@ -111,14 +107,12 @@ pub struct BenchSerRecord {
     pub num_vectors: usize,
     /// Recorded frames.
     pub frames: usize,
-    /// Resolved worker count of the threaded column.
-    pub threads: usize,
     /// Wall-clock nanoseconds of the scalar (per-`Signature`) engine.
     pub scalar_nanos: u64,
     /// `Signature` heap allocations of the scalar engine.
     pub scalar_allocs: u64,
-    /// Wall-clock nanoseconds of the arena engine at one thread. This
-    /// is the field the CI regression gate watches.
+    /// Wall-clock nanoseconds of the arena engine. This is the field
+    /// the CI regression gate watches.
     pub arena_nanos: u64,
     /// Forward-simulation share of `arena_nanos` (same rep).
     pub arena_sim_nanos: u64,
@@ -127,8 +121,6 @@ pub struct BenchSerRecord {
     /// `Signature` heap allocations of the arena engine (finalization
     /// only: per-gate observability masks).
     pub arena_allocs: u64,
-    /// Wall-clock nanoseconds of the arena engine with the worker pool.
-    pub threaded_nanos: u64,
     /// Wall-clock nanoseconds of the propagation-probability estimator
     /// (the backward pass over a pre-built trace — the marginal cost of
     /// the second opinion every experiment run now pays).
@@ -136,17 +128,12 @@ pub struct BenchSerRecord {
 }
 
 impl BenchSerRecord {
-    /// Scalar time over single-threaded arena time (higher is better).
+    /// Scalar time over arena time (higher is better).
     pub fn arena_speedup(&self) -> f64 {
         self.scalar_nanos as f64 / self.arena_nanos.max(1) as f64
     }
 
-    /// Scalar time over pooled arena time (higher is better).
-    pub fn threaded_speedup(&self) -> f64 {
-        self.scalar_nanos as f64 / self.threaded_nanos.max(1) as f64
-    }
-
-    /// Single-threaded arena nanoseconds per gate, frame and vector —
+    /// Arena nanoseconds per gate, frame and vector —
     /// the normalized data-plane cost.
     pub fn arena_nanos_per_gfv(&self) -> f64 {
         self.arena_nanos as f64 / (self.gates * self.frames * self.num_vectors).max(1) as f64
@@ -200,7 +187,7 @@ pub fn profile_table(r: &BenchSerRecord) -> String {
     out
 }
 
-/// Runs all three columns over one circuit. The three engines must be
+/// Runs every column over one circuit. The engines must be
 /// bit-identical, so the record is also an identity check.
 ///
 /// # Panics
@@ -216,7 +203,7 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
     for _ in 0..reps {
         let a0 = signature_allocs();
         let t0 = Instant::now();
-        let scalar_trace = ScalarTrace::simulate(circuit, config.sim(1));
+        let scalar_trace = ScalarTrace::simulate(circuit, config.sim());
         let (obs, _) = scalar::observability(circuit, &scalar_trace);
         scalar_nanos = scalar_nanos.min(t0.elapsed().as_nanos() as u64);
         scalar_allocs = signature_allocs() - a0;
@@ -231,7 +218,7 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
     for _ in 0..reps {
         let a1 = signature_allocs();
         let t1 = Instant::now();
-        let (obs, sim_ns, odc_ns) = run_arena(circuit, config.sim(1));
+        let (obs, sim_ns, odc_ns) = run_arena(circuit, config.sim());
         let total = t1.elapsed().as_nanos() as u64;
         if total < arena_nanos {
             // Keep the phase split of the same (fastest) rep so the
@@ -245,21 +232,10 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
     }
     let arena_obs = arena_obs.expect("reps >= 1");
 
-    let threads = parallel::resolve_workers(config.threads);
-    let mut threaded_nanos = u64::MAX;
-    let mut threaded_obs = None;
-    for _ in 0..reps {
-        let t2 = Instant::now();
-        let (obs, _, _) = run_arena(circuit, config.sim(threads));
-        threaded_nanos = threaded_nanos.min(t2.elapsed().as_nanos() as u64);
-        threaded_obs = Some(obs);
-    }
-    let threaded_obs = threaded_obs.expect("reps >= 1");
-
     // Propagation-probability column: the backward pass alone, over a
     // trace built once outside the timed region (the experiment
     // pipeline reuses its existing trace the same way).
-    let pp_trace = FrameTrace::simulate(circuit, config.sim(1));
+    let pp_trace = FrameTrace::simulate(circuit, config.sim());
     let mut propprob_nanos = u64::MAX;
     for _ in 0..reps {
         let t3 = Instant::now();
@@ -278,26 +254,18 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
         "{}: the arena engine must match the scalar engine bit-for-bit",
         instance.name
     );
-    assert_eq!(
-        arena_obs.as_slice(),
-        threaded_obs.as_slice(),
-        "{}: the threaded engine must match the single-threaded engine bit-for-bit",
-        instance.name
-    );
 
     BenchSerRecord {
         name: instance.name.clone(),
         gates: circuit.len(),
         num_vectors: config.num_vectors,
         frames: config.frames,
-        threads,
         scalar_nanos,
         scalar_allocs,
         arena_nanos,
         arena_sim_nanos,
         arena_odc_nanos,
         arena_allocs,
-        threaded_nanos,
         propprob_nanos,
     }
 }
@@ -319,35 +287,31 @@ fn run_arena(circuit: &Circuit, config: SimConfig) -> (Observability, u64, u64) 
 /// `ser_arena_nanos` is the CI-gated regression field.
 pub fn to_json(records: &[BenchSerRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"ser-data-plane\",\n  \"version\": 3,\n");
+    out.push_str("{\n  \"benchmark\": \"ser-data-plane\",\n  \"version\": 4,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
             out,
             "    {{\n      \"name\": \"{}\",\n      \"gates\": {},\n      \
-             \"num_vectors\": {},\n      \"frames\": {},\n      \"threads\": {},\n      \
+             \"num_vectors\": {},\n      \"frames\": {},\n      \
              \"ser_scalar_nanos\": {},\n      \"ser_scalar_allocs\": {},\n      \
              \"ser_arena_nanos\": {},\n      \"ser_arena_sim_nanos\": {},\n      \
              \"ser_arena_odc_nanos\": {},\n      \"ser_arena_allocs\": {},\n      \
-             \"ser_threaded_nanos\": {},\n      \"ser_propprob_nanos\": {},\n      \
-             \"arena_speedup\": {:.3},\n      \"threaded_speedup\": {:.3},\n      \
+             \"ser_propprob_nanos\": {},\n      \"arena_speedup\": {:.3},\n      \
              \"arena_nanos_per_gate_frame_vector\": {:.4},\n      \
              \"propprob_nanos_per_gate_frame\": {:.4}\n    }}",
             r.name,
             r.gates,
             r.num_vectors,
             r.frames,
-            r.threads,
             r.scalar_nanos,
             r.scalar_allocs,
             r.arena_nanos,
             r.arena_sim_nanos,
             r.arena_odc_nanos,
             r.arena_allocs,
-            r.threaded_nanos,
             r.propprob_nanos,
             r.arena_speedup(),
-            r.threaded_speedup(),
             r.arena_nanos_per_gfv(),
             r.propprob_nanos_per_gf(),
         );
@@ -371,19 +335,16 @@ mod tests {
             gates: 0,
             num_vectors: 0,
             frames: 0,
-            threads: 0,
             scalar_nanos: 0,
             scalar_allocs: 0,
             arena_nanos: 0,
             arena_sim_nanos: 0,
             arena_odc_nanos: 0,
             arena_allocs: 0,
-            threaded_nanos: 0,
             propprob_nanos: 0,
         };
         for ratio in [
             record.arena_speedup(),
-            record.threaded_speedup(),
             record.arena_nanos_per_gfv(),
             record.propprob_nanos_per_gf(),
         ] {
@@ -407,14 +368,12 @@ mod tests {
             gates: 100,
             num_vectors: 64,
             frames: 10,
-            threads: 1,
             scalar_nanos: 2_000_000,
             scalar_allocs: 0,
             arena_nanos: 1_000_000,
             arena_sim_nanos: 600_000,
             arena_odc_nanos: 300_000,
             arena_allocs: 0,
-            threaded_nanos: 900_000,
             propprob_nanos: 100_000,
         };
         let table = profile_table(&record);
@@ -441,10 +400,9 @@ mod tests {
         assert!(json.contains("\"ser_propprob_nanos\""));
         assert!(json.contains("\"propprob_nanos_per_gate_frame\""));
         for r in &records {
-            assert!(r.scalar_nanos > 0 && r.arena_nanos > 0 && r.threaded_nanos > 0);
+            assert!(r.scalar_nanos > 0 && r.arena_nanos > 0);
             assert!(r.propprob_nanos > 0);
             assert!(r.gates > 0);
-            assert!(r.threads >= 1);
         }
     }
 

@@ -22,10 +22,7 @@ pub struct Table1Options {
     /// Time frames `n` (paper: 15).
     pub frames: usize,
     /// Worker pool for running circuits in parallel (0 = resolve via
-    /// `SER_THREADS` / hardware, like every other entry point). With
-    /// more than one pool worker each row's own simulation runs
-    /// single-threaded to avoid oversubscription; with one pool worker
-    /// the per-row simulation inherits the requested thread count.
+    /// `SER_THREADS` / hardware, like every other entry point).
     pub threads: usize,
 }
 
@@ -85,7 +82,6 @@ pub fn run_table1(options: &Table1Options) -> Vec<Table1Row> {
         return Vec::new();
     }
     let pool = parallel::resolve_workers_for(options.threads, items.len());
-    let sim_threads = if pool > 1 { 1 } else { options.threads };
     let mut slots: Vec<Option<Table1Row>> = Vec::new();
     slots.resize_with(items.len(), || None);
     let chunk = items.len().div_ceil(pool);
@@ -94,7 +90,7 @@ pub fn run_table1(options: &Table1Options) -> Vec<Table1Row> {
         for (ci, out) in slots.chunks_mut(chunk).enumerate() {
             scope.spawn(move || {
                 for (k, slot) in out.iter_mut().enumerate() {
-                    *slot = run_row(items[ci * chunk + k], options, sim_threads);
+                    *slot = run_row(items[ci * chunk + k], options);
                 }
             });
         }
@@ -103,7 +99,7 @@ pub fn run_table1(options: &Table1Options) -> Vec<Table1Row> {
 }
 
 /// Runs one benchmark circuit; `None` when it fails.
-fn run_row(paper_row: &PaperRow, options: &Table1Options, sim_threads: usize) -> Option<Table1Row> {
+fn run_row(paper_row: &PaperRow, options: &Table1Options) -> Option<Table1Row> {
     let giant = paper_row.v > 60_000;
     let scale = options.scale * if giant { options.giant_extra_scale } else { 1 };
     let circuit = table1_twin(paper_row, scale);
@@ -112,7 +108,7 @@ fn run_row(paper_row: &PaperRow, options: &Table1Options, sim_threads: usize) ->
         frames: options.frames,
         warmup: 8,
         seed: 0xC0FFEE,
-        threads: sim_threads,
+        threads: 1,
     });
     match Experiment::new(&circuit).config(config).run() {
         Ok(run) => Some(Table1Row {

@@ -377,9 +377,10 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
     let propprob_report = propprob_report_with_trace(circuit, &ser_config, &trace)?;
     let ff = circuit.num_registers();
 
-    // Any SER engine breaker trip (sampled audit caught the parallel
-    // engine diverging; results came from the scalar fallback) is
-    // surfaced on each method's degradation report.
+    // Any SER engine breaker trip (the per-frame ODC audit caught the
+    // blocked kernel diverging from its word oracle; results came from
+    // the scalar fallback) is surfaced on each method's degradation
+    // report.
     let sim_engine = observability.engine().merged(original_report.engine);
     let evaluate = |retiming: &Retiming,
                     seconds: f64,

@@ -34,7 +34,8 @@ pub struct PerfCounters {
     pub audit_checks: u64,
     /// Circuit-breaker trips: at most one for the warm closure engine
     /// (panic or audited divergence), plus one for a full-restart
-    /// verification failure.
+    /// verification failure, plus any trips of the SER engine's
+    /// per-frame ODC audit.
     pub breaker_trips: u64,
     /// Warm-closure selections answered by the provably-unchanged-cut
     /// fast path: the pending deltas were classified as unable to alter

@@ -202,9 +202,9 @@ pub struct BreakerTrip {
 pub struct DegradationReport {
     /// The warm closure engine's breaker (fallback: fresh builds).
     pub closure_trip: Option<BreakerTrip>,
-    /// The parallel SER engine's sampled-audit breaker (fallback: the
-    /// scalar simulation/ODC engine). `iteration` is 0: the trip
-    /// happens during simulation, before the solve loop starts.
+    /// The ODC engine's per-frame audit breaker (fallback: the scalar
+    /// ODC engine). `iteration` is 0: the trip happens during SER
+    /// analysis, outside the solve loop.
     pub ser_trip: Option<BreakerTrip>,
     /// Set when a budget stopped the solve early.
     pub budget_stop: Option<StopReason>,

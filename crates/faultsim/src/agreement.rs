@@ -272,7 +272,7 @@ fn judge_pair(
 /// Runs the agreement oracle: analytic, propagation-probability and
 /// Monte-Carlo always; the exhaustive oracle too when the enumeration
 /// fits under `exact.max_source_bits`. Every pair of engines that ran
-/// is judged against [`ToleranceBands`].
+/// is judged by [`judge_agreement`].
 ///
 /// # Errors
 ///
@@ -291,14 +291,24 @@ pub fn check_agreement(
         PropProbEstimator.estimate(circuit, config)?,
     ];
     let exact = ExactEstimator::default();
-    let exact_included =
-        ser_engine::exact_feasible(circuit, config.sim.frames, exact.max_source_bits);
-    if exact_included {
+    if ser_engine::exact_feasible(circuit, config.sim.frames, exact.max_source_bits) {
         estimates.push(exact.estimate(circuit, config)?);
     }
-    // Sampled in-loop sanity audit (PR 4/5 pattern): every estimate's
-    // per-site probabilities must be probabilities. A violation here
-    // is an estimator bug, not a tolerance question.
+    Ok(judge_agreement(circuit, config, estimates, bands))
+}
+
+/// Judges every pair of `estimates` of `circuit` against [`ToleranceBands`]
+/// — the verdict half of [`check_agreement`], public so a caller can
+/// judge estimates it produced (or deliberately skewed) itself.
+pub fn judge_agreement(
+    circuit: &Circuit,
+    config: &SerConfig,
+    estimates: Vec<SerEstimate>,
+    bands: ToleranceBands,
+) -> AgreementReport {
+    // Sanity audit: every estimate's per-site probabilities must be
+    // probabilities. A violation here is an estimator bug, not a
+    // tolerance question.
     #[cfg(debug_assertions)]
     for e in &estimates {
         for (i, &p) in e.site_p.iter().enumerate() {
@@ -321,13 +331,13 @@ pub fn check_agreement(
             ));
         }
     }
-    Ok(AgreementReport {
+    AgreementReport {
         circuit: circuit.name().to_string(),
+        exact_included: estimates.iter().any(|e| e.engine == EngineKind::Exact),
         estimates,
         pairs,
-        exact_included,
         bands,
-    })
+    }
 }
 
 #[cfg(test)]

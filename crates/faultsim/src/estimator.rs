@@ -46,10 +46,6 @@ impl SerEstimator for MonteCarloEstimator {
             obs[s.gate.index()] = s.empirical_obs();
             site_p[s.gate.index()] = s.latch_probability();
         }
-        let report = ser_engine::EngineReport {
-            threads: result.workers,
-            ..ser_engine::EngineReport::default()
-        };
         Ok(SerEstimate {
             engine: EngineKind::MonteCarlo,
             ser: result.ser(),
@@ -57,7 +53,7 @@ impl SerEstimator for MonteCarloEstimator {
             obs,
             site_p,
             phi: result.phi,
-            report,
+            report: ser_engine::EngineReport::default(),
         })
     }
 }

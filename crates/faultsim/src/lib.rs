@@ -27,7 +27,8 @@
 //!   [`ser_engine::SerEstimator`] front door,
 //! * [`check_agreement`] — the three-way (analytic / propprob /
 //!   Monte-Carlo, plus the exhaustive oracle when feasible) agreement
-//!   oracle with per-pair-class tolerance bands,
+//!   oracle with per-pair-class tolerance bands, whose verdict half is
+//!   [`judge_agreement`],
 //! * [`advise`] — the selective-hardening advisor, cross-scoring each
 //!   strike site's SER contribution by two independent engines and
 //!   greedily spending an area budget on the best payoff.
@@ -68,7 +69,7 @@ mod harden;
 mod stats;
 
 pub use agreement::{
-    check_agreement, AgreementReport, PairVerdict, SiteDivergence, ToleranceBands,
+    check_agreement, judge_agreement, AgreementReport, PairVerdict, SiteDivergence, ToleranceBands,
 };
 pub use atlas::{FaultAtlas, Site};
 pub use campaign::{

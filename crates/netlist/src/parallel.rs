@@ -1,10 +1,10 @@
 //! Shared worker-count resolution for every threaded stage in the
 //! suite.
 //!
-//! `faultsim` campaigns, the SER engine's levelized passes and the
-//! `table1` per-circuit pool all spawn `std::thread::scope` workers.
-//! They must agree on how a thread count is chosen, so the rule lives
-//! here once:
+//! `faultsim` campaigns, the SER engine's exact fault injection, the
+//! serve daemon's solve pool and the `table1` per-circuit pool all
+//! spawn worker threads. They must agree on how a thread count is
+//! chosen, so the rule lives here once:
 //!
 //! 1. an explicit request (`--threads N` flag, `SimConfig::threads`,
 //!    `CampaignConfig::workers`) wins when non-zero,

@@ -78,8 +78,8 @@ pub struct SerReport {
     pub elws: Vec<IntervalSet>,
     /// Clock period used.
     pub phi: i64,
-    /// Simulation/ODC engine diagnostics: thread count, sampled-audit
-    /// volume and circuit-breaker activity (scalar fallbacks).
+    /// ODC engine diagnostics: per-frame audit volume and
+    /// circuit-breaker activity (scalar fallbacks).
     pub engine: EngineReport,
 }
 

@@ -149,7 +149,7 @@ pub struct SerEstimate {
     pub site_p: Vec<f64>,
     /// Clock period used.
     pub phi: i64,
-    /// Engine diagnostics (threads, audits, breaker activity).
+    /// Engine diagnostics (audits, breaker activity).
     pub report: EngineReport,
 }
 

@@ -213,11 +213,8 @@ pub fn exact_report(
     max_source_bits: u32,
 ) -> Result<SerReport, EstimateError> {
     let obs = exact_observability(circuit, config.sim.frames, max_source_bits)?;
-    let engine = EngineReport {
-        threads: 1,
-        ..EngineReport::default()
-    };
-    report_from_observabilities(circuit, config, &obs, engine).map_err(EstimateError::from)
+    report_from_observabilities(circuit, config, &obs, EngineReport::default())
+        .map_err(EstimateError::from)
 }
 
 #[cfg(test)]

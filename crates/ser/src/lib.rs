@@ -69,10 +69,6 @@ pub use estimate::{
     SerEstimator,
 };
 pub use exact::{exact_feasible, exact_report, exact_source_bits, DEFAULT_MAX_SOURCE_BITS};
-pub use odc::SABOTAGE_ODC_SEED;
-pub use propprob::{
-    propprob_report, propprob_report_with_trace, PropProb, SABOTAGE_ESTIMATE_SEED,
-    SABOTAGE_PROP_SEED,
-};
+pub use propprob::{propprob_report, propprob_report_with_trace, PropProb};
 pub use signature::{eval_gate, signature_allocs, Signature};
-pub use sim::{EngineReport, SABOTAGE_SIM_SEED};
+pub use sim::EngineReport;

@@ -29,14 +29,14 @@
 //! allocations per frame. The word-at-a-time `eval_gate_word`
 //! evaluation survives as the audit oracle.
 //!
-//! Determinism, the sampled audits, the circuit breaker and the scalar
-//! fallback follow the forward engine (see [`crate::sim`]) — with one
-//! strengthening: because the blocked kernel differs structurally from
-//! the oracle even without threads, one level per frame is audited in
-//! *every* run, not just multi-threaded ones. Trips land in
-//! [`Observability::engine`], merged with the trace's own report.
-
-use std::sync::OnceLock;
+//! The pass runs on the calling thread. Because the blocked kernel
+//! differs structurally from the word-at-a-time oracle, it is checked
+//! against it in every run: debug builds re-derive every level of every
+//! frame, and all builds audit one sampled level per frame. An audit
+//! mismatch trips a circuit breaker: the blocked result is discarded,
+//! recomputed with the scalar engine in [`crate::scalar`], and the trip
+//! is recorded in [`Observability::engine`] so the supervisor's
+//! degradation report can surface it.
 
 use netlist::{parallel, Circuit, GateId, GateKind, Levelization};
 
@@ -48,97 +48,23 @@ use crate::signature::{
 };
 use crate::sim::{eval_slots, EngineReport, EvalPlan, FrameTrace, SimConfig};
 
-/// Default sweep tile width: 64 words = a full row for every vector
-/// count up to 4096, i.e. a single full-width sweep. Narrower stripes
-/// (e.g. 8 words = one cache line per row) trade an extra walk of the
-/// per-fanout op stream for L2 residency of the value and mask planes
-/// — a win only when last-level cache is small relative to the frame;
-/// the calibration probe measures exactly that trade on the running
-/// machine and narrows the tile when it pays.
-const ODC_BLOCK_WORDS: usize = 64;
+/// Sweep tile width, in 64-bit words, shared by the forward simulator
+/// and the ODC pass: 64 words is a full row for every vector count up
+/// to 4096, so those runs make one sweep per pass. Narrower tiles
+/// measured slower on the 50k-gate fixture at 1024 vectors (8 words
+/// +25%, 4 words +60%) and no faster at 2048 (DESIGN.md §16.2). The
+/// width only changes traversal order, never a result.
+pub(crate) const ODC_BLOCK_WORDS: usize = 64;
 
-/// Environment override for the sweep tile width (in 64-bit words).
-/// Any positive value is valid — the tile size only affects traversal
-/// order, never results (the differential tests pin bit-identity
-/// across tile sizes).
-pub const ODC_BLOCK_ENV: &str = "SER_ODC_BLOCK_WORDS";
-
-static CALIBRATED_BLOCK: OnceLock<usize> = OnceLock::new();
-
-/// Resolves the sweep tile width: explicit `SER_ODC_BLOCK_WORDS`
-/// override, else the one-time calibration probe. Shared with the
-/// forward simulator — both engines sweep the same stripe shape.
-pub(crate) fn resolve_block_words() -> usize {
-    if let Ok(v) = std::env::var(ODC_BLOCK_ENV) {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    *CALIBRATED_BLOCK.get_or_init(calibrate_block_words)
+/// The word stripes `(b0, b1)` of a `wps`-word row in tiles of `block`
+/// words (`block >= 1`). Each sweep runs a whole pass over one stripe
+/// of every row, so the touched cache lines stay resident across it.
+pub(crate) fn sweep_tiles(wps: usize, block: usize) -> Vec<(usize, usize)> {
+    (0..wps)
+        .step_by(block)
+        .map(|b0| (b0, (b0 + block).min(wps)))
+        .collect()
 }
-
-/// One-time timing probe for the sweep tile width: replays the
-/// frame-level access pattern — every slot's accumulator tile written
-/// and several strided fanout-row tiles read per slot, over a working
-/// set sized past L2 so the sweep's cache-residency effect is what
-/// gets measured — at a few candidate widths and keeps the fastest.
-/// Purely a performance heuristic — any candidate computes identical
-/// bits — so timing noise can only cost speed, never correctness.
-fn calibrate_block_words() -> usize {
-    use std::time::Instant;
-    const SLOTS: usize = 4096;
-    const WPS: usize = 64; // two 2 MiB arrays: past a typical L2
-    const FANOUTS: usize = 4;
-    let values: Vec<u64> = (0..SLOTS * WPS)
-        .map(|i| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15))
-        .collect();
-    let mut odc: Vec<u64> = values.iter().map(|v| v.rotate_left(13)).collect();
-    let mut best = (u128::MAX, ODC_BLOCK_WORDS);
-    for &cand in &[8usize, 16, 32, 64] {
-        let t0 = Instant::now();
-        let mut sink = 0u64;
-        for _ in 0..3 {
-            let mut b0 = 0;
-            while b0 < WPS {
-                let b1 = (b0 + cand).min(WPS);
-                for s in 0..SLOTS {
-                    let (acc, right) = odc.split_at_mut((s + 1) * WPS);
-                    let ab = &mut acc[s * WPS + b0..s * WPS + b1];
-                    ab.fill(0);
-                    let span = SLOTS - s - 1;
-                    for fo in 0..FANOUTS {
-                        if span == 0 {
-                            break;
-                        }
-                        // Strided forward references, like fanouts into
-                        // the already-finalized higher levels.
-                        let h = s + 1 + (s * 7 + fo * 13) % span;
-                        let ho = (h - s - 1) * WPS;
-                        let x = ((s * 5 + fo * 11) % SLOTS) * WPS;
-                        or_and_rows(ab, &right[ho + b0..ho + b1], &values[x + b0..x + b1]);
-                    }
-                    sink ^= ab[0];
-                }
-                b0 = b1;
-            }
-        }
-        std::hint::black_box(sink);
-        let dt = t0.elapsed().as_nanos();
-        if dt < best.0 {
-            best = (dt, cand);
-        }
-    }
-    best.1
-}
-
-/// Magic seed that makes a multi-threaded ODC pass deliberately
-/// corrupt one worker's output in the audited level of the first
-/// processed (= last recorded) frame — a test hook for the
-/// circuit-breaker fallback path.
-#[doc(hidden)]
-pub const SABOTAGE_ODC_SEED: u64 = 0x5AB0_7A6E_0D0C;
 
 /// How a fanout's sensitivity to the source gate collapses under the
 /// boolean difference `∂h/∂g = h(..., ¬g, ...) ⊕ h(..., g, ...)`,
@@ -154,9 +80,9 @@ pub const SABOTAGE_ODC_SEED: u64 = 0x5AB0_7A6E_0D0C;
 ///
 /// Everything else (wide n-ary gates, a gate feeding the same fanout
 /// twice) falls back to the general flip-and-re-evaluate kernel. The
-/// serial word-oracle path never uses the collapse, so the in-loop
-/// debug differentials and the per-frame release audits check these
-/// identities on real data in every run.
+/// serial word-oracle path never uses the collapse, so the debug
+/// differentials and the per-frame audits check these identities on
+/// real data in every run.
 #[derive(Debug, Clone)]
 enum Sens {
     /// `∂h/∂g ≡ 1`: `acc |= odc(h)`.
@@ -413,9 +339,9 @@ fn build_odc_ops(plan: &[OdcSlot]) -> OdcOps {
 /// SWAR row pass; only uncollapsible fanouts re-evaluate via the
 /// batched [`accumulate_sensitivity`] kernel. The word sub-range is
 /// the cache-blocking lever: the frame loop sweeps `b0..b1` tiles
-/// *outermost* across all levels (see [`resolve_block_words`]) so the
-/// touched cache lines of both the value and mask planes stay resident
-/// across a whole backward pass. Bit-identical to
+/// *outermost* across all levels (see [`sweep_tiles`]) so the touched
+/// cache lines of both the value and mask planes stay resident across
+/// a whole backward pass. Bit-identical to
 /// [`odc_slots_serial`] — which stays the audit oracle — because every
 /// operation is an exact bitwise function with no cross-word
 /// dependencies.
@@ -555,8 +481,8 @@ fn odc_slots_blocked<'a>(
 
 /// Serially accumulates the ODC masks of slots `lo..lo + out.len()/wps`
 /// into `out` — the word-at-a-time reference implementation behind the
-/// sampled audits and debug differential checks of the blocked fast
-/// path. `odc_right` holds the finalized masks of slots
+/// per-frame audit and the debug differential checks of the blocked
+/// fast path. `odc_right` holds the finalized masks of slots
 /// `right_base..`, `values` the nominal signatures of the frame, and
 /// `next_reg` the register ODCs of the following frame.
 #[allow(clippy::too_many_arguments)]
@@ -615,69 +541,9 @@ fn odc_slots_serial<'a>(
     }
 }
 
-/// Accumulates one reverse pass over slots `lo..hi` of `odc` in place,
-/// fanning the range across scoped workers when it is large enough.
-/// `sabotage` deliberately corrupts the first worker's chunk (test
-/// hook).
-#[allow(clippy::too_many_arguments)]
-fn odc_pass(
-    ops: &OdcOps,
-    wps: usize,
-    b0: usize,
-    b1: usize,
-    values: &[u64],
-    odc: &mut [u64],
-    lo: usize,
-    hi: usize,
-    next_reg: &[u64],
-    last_frame: bool,
-    workers: usize,
-    sabotage: bool,
-) {
-    let n = hi - lo;
-    let (left, right) = odc.split_at_mut(hi * wps);
-    let cur = &mut left[lo * wps..];
-    let workers = parallel::clamp_workers(workers, n);
-    if workers <= 1 {
-        let mut pairs = Vec::with_capacity(8);
-        odc_slots_blocked(
-            ops, wps, b0, b1, values, right, hi, next_reg, last_frame, cur, lo, &mut pairs,
-        );
-        if sabotage {
-            cur[b0] ^= 1;
-        }
-        return;
-    }
-    let chunk_slots = n.div_ceil(workers);
-    let right: &[u64] = right;
-    std::thread::scope(|scope| {
-        for (ci, chunk) in cur.chunks_mut(chunk_slots * wps).enumerate() {
-            scope.spawn(move || {
-                let mut pairs = Vec::with_capacity(8);
-                odc_slots_blocked(
-                    ops,
-                    wps,
-                    b0,
-                    b1,
-                    values,
-                    right,
-                    hi,
-                    next_reg,
-                    last_frame,
-                    chunk,
-                    lo + ci * chunk_slots,
-                    &mut pairs,
-                );
-                if sabotage && ci == 0 {
-                    chunk[b0] ^= 1;
-                }
-            });
-        }
-    });
-}
-
-/// Recomputes slots `lo..hi` serially and compares them with what the
-/// (possibly parallel) pass wrote. Returns `true` when identical.
+/// Recomputes slots `lo..hi` with the word-at-a-time oracle and
+/// compares them with what the blocked pass wrote. Returns `true` when
+/// identical.
 #[allow(clippy::too_many_arguments)]
 fn verify_pass(
     plan: &[OdcSlot],
@@ -721,11 +587,10 @@ pub struct Observability {
 }
 
 impl Observability {
-    /// Computes observabilities from a simulated trace, with the
-    /// accumulation tile width resolved from `SER_ODC_BLOCK_WORDS` or
-    /// the one-time calibration probe.
+    /// Computes observabilities from a simulated trace, sweeping
+    /// 64-word tiles.
     pub fn compute(circuit: &Circuit, trace: &FrameTrace) -> Self {
-        Self::compute_with_block(circuit, trace, resolve_block_words())
+        Self::compute_with_block(circuit, trace, ODC_BLOCK_WORDS)
     }
 
     /// [`Observability::compute`] with an explicit accumulation tile
@@ -734,7 +599,6 @@ impl Observability {
     /// `block_words`; only traversal order (and therefore speed) does.
     #[doc(hidden)]
     pub fn compute_with_block(circuit: &Circuit, trace: &FrameTrace, block_words: usize) -> Self {
-        let block = block_words.max(1);
         let config = *trace.config();
         let bits = config.num_vectors;
         let frames = trace.frames();
@@ -742,16 +606,12 @@ impl Observability {
         let levels = trace.levels();
         let slots = levels.num_gates();
         let r = levels.num_registers();
-        let s0 = levels.level_slots(0).end;
         let num_levels = levels.num_levels();
         let plan = build_odc_plan(circuit, levels);
         let ops = build_odc_ops(&plan);
-        let threads = parallel::resolve_workers(config.threads);
-        let sabotage_run = config.seed == SABOTAGE_ODC_SEED && threads > 1;
-        let mut engine = EngineReport {
-            threads,
-            ..EngineReport::default()
-        };
+        let sweeps = sweep_tiles(wps, block_words.max(1));
+        let mut engine = EngineReport::default();
+        let mut pairs = Vec::with_capacity(8);
 
         // Two full mask planes, swapped each frame: the one being
         // computed and the previous (later) frame's finished plane,
@@ -761,123 +621,81 @@ impl Observability {
         // that register-feeding-register slots still need to read.
         let mut odc = vec![0u64; slots * wps];
         let mut odc_prev = vec![0u64; slots * wps];
-        let mut tripped = false;
 
-        // Word-sweep tiles: each sweep runs the whole backward pass
-        // over a `block`-word stripe of every row, so the touched cache
-        // lines of the value and mask planes stay resident across the
-        // pass. The threaded path splits slots across workers instead
-        // (which shrinks the per-worker set by itself) and runs one
-        // full-width sweep to keep the spawn count down.
-        let sweeps: Vec<(usize, usize)> = if threads <= 1 {
-            (0..wps)
-                .step_by(block)
-                .map(|b0| (b0, (b0 + block).min(wps)))
-                .collect()
-        } else {
-            vec![(0, wps)]
-        };
-
-        'frames: for f in (0..frames).rev() {
+        for f in (0..frames).rev() {
             let last = f == frames - 1;
             let next_reg = &odc_prev[..r * wps];
             let values = trace.arena().frame(f);
-            let audit = audit_pass(f, num_levels);
-            let sab_pass = if sabotage_run && last {
-                Some(audit)
-            } else {
-                None
-            };
-            // Backward over the combinational levels, then the layer-0
+            // Backward over the combinational levels, then level 0, the
             // source region (registers, inputs, constants). No upfront
             // clear: every pass initializes the accumulator tiles it
             // owns, and together the level ranges cover every slot.
             for &(b0, b1) in &sweeps {
-                for l in (1..num_levels).rev() {
+                for l in (0..num_levels).rev() {
                     let lr = levels.level_slots(l);
-                    odc_pass(
+                    let (left, right) = odc.split_at_mut(lr.end * wps);
+                    odc_slots_blocked(
                         &ops,
                         wps,
                         b0,
                         b1,
                         values,
-                        &mut odc,
-                        lr.start,
+                        right,
                         lr.end,
                         next_reg,
                         last,
-                        threads,
-                        sab_pass == Some(l),
+                        &mut left[lr.start * wps..],
+                        lr.start,
+                        &mut pairs,
                     );
                 }
-                odc_pass(
-                    &ops,
-                    wps,
-                    b0,
-                    b1,
-                    values,
-                    &mut odc,
-                    0,
-                    s0,
-                    next_reg,
-                    last,
-                    threads,
-                    sab_pass == Some(0),
-                );
             }
-            // The blocked fast path differs structurally from the
-            // word-oracle even single-threaded, so the debug
-            // differential runs regardless of thread count (after all
-            // sweeps: a level's rows are only complete once every word
-            // stripe has passed over it).
+            // After all sweeps (a level's rows are only complete once
+            // every word stripe has passed over it), debug builds
+            // re-derive every level with the word oracle.
             #[cfg(debug_assertions)]
-            if sab_pass.is_none() {
-                for l in (1..num_levels).rev() {
-                    let lr = levels.level_slots(l);
-                    debug_assert!(
-                        verify_pass(&plan, wps, values, &odc, lr.start, lr.end, next_reg, last),
-                        "blocked ODC level {l} diverged from serial evaluation"
-                    );
-                }
+            for l in (0..num_levels).rev() {
+                let lr = levels.level_slots(l);
                 debug_assert!(
-                    verify_pass(&plan, wps, values, &odc, 0, s0, next_reg, last),
-                    "blocked ODC source region diverged from serial evaluation"
+                    verify_pass(&plan, wps, values, &odc, lr.start, lr.end, next_reg, last),
+                    "blocked ODC level {l} diverged from serial evaluation"
                 );
             }
-            // One sampled level per frame is always re-derived with
-            // the word-oracle — the circuit breaker covers the blocked
-            // kernel itself, not just worker divergence, so it runs
-            // even single-threaded.
-            {
-                engine.audited_layers += 1;
-                let (alo, ahi) = if audit == 0 {
-                    (0, s0)
-                } else {
-                    let ar = levels.level_slots(audit);
-                    (ar.start, ar.end)
+            // All builds re-derive one sampled level per frame; a
+            // mismatch trips the breaker.
+            let audited = levels.level_slots(audit_pass(f, num_levels));
+            // Breaker drill (unit tests only): corrupt the audited level
+            // after the debug differential, so only the audit sees it.
+            #[cfg(test)]
+            if last && tests::CORRUPT_AUDITED_LEVEL.with(std::cell::Cell::get) {
+                odc[audited.start * wps] ^= 1;
+            }
+            engine.audited_layers += 1;
+            if !verify_pass(
+                &plan,
+                wps,
+                values,
+                &odc,
+                audited.start,
+                audited.end,
+                next_reg,
+                last,
+            ) {
+                // Circuit breaker: recompute with the scalar reference
+                // engine against the trace values.
+                engine.trips += 1;
+                engine.scalar_fallback = true;
+                let st = ScalarTrace::from_trace(circuit, trace);
+                let (obs, frame0_odc) = crate::scalar::observability(circuit, &st);
+                return Self {
+                    obs,
+                    frame0_odc,
+                    engine,
                 };
-                if !verify_pass(&plan, wps, values, &odc, alo, ahi, next_reg, last) {
-                    engine.trips += 1;
-                    tripped = true;
-                    break 'frames;
-                }
             }
             // The finished plane becomes the earlier frame's "next"
             // plane; its register rows are read as `next_reg` above.
             std::mem::swap(&mut odc, &mut odc_prev);
-        }
-
-        if tripped {
-            // Circuit breaker: recompute with the scalar reference
-            // engine against the (already validated) trace values.
-            let st = ScalarTrace::from_trace(circuit, trace);
-            let (obs, frame0_odc) = crate::scalar::observability(circuit, &st);
-            engine.scalar_fallback = true;
-            return Self {
-                obs,
-                frame0_odc,
-                engine: trace.engine().merged(engine),
-            };
         }
 
         // The last swap left the finished frame-0 plane in `odc_prev`.
@@ -894,7 +712,7 @@ impl Observability {
         Self {
             obs,
             frame0_odc,
-            engine: trace.engine().merged(engine),
+            engine,
         }
     }
 
@@ -914,8 +732,7 @@ impl Observability {
         &self.obs
     }
 
-    /// Engine diagnostics (simulation + ODC merged): thread count,
-    /// audits and circuit-breaker activity.
+    /// Engine diagnostics: audits and circuit-breaker activity.
     pub fn engine(&self) -> &EngineReport {
         &self.engine
     }
@@ -1032,6 +849,13 @@ fn inject(
 mod tests {
     use super::*;
     use netlist::{samples, CircuitBuilder};
+
+    thread_local! {
+        /// Breaker drill hook: when set, `compute_with_block` corrupts
+        /// the audited level of the last frame on this thread.
+        pub(super) static CORRUPT_AUDITED_LEVEL: std::cell::Cell<bool> =
+            const { std::cell::Cell::new(false) };
+    }
 
     #[test]
     fn po_drivers_fully_observable() {
@@ -1216,16 +1040,6 @@ mod tests {
     }
 
     #[test]
-    fn calibration_and_env_override_resolve_sane_widths() {
-        // The calibration probe must return one of its candidates, and
-        // compute() under any resolution stays bit-identical (covered
-        // by `tile_size_never_changes_results`; this pins the range).
-        let w = calibrate_block_words();
-        assert!([8, 16, 32, 64].contains(&w), "calibrated width {w}");
-        assert!(resolve_block_words() >= 1);
-    }
-
-    #[test]
     fn threaded_odc_is_bit_identical() {
         let c = samples::fig1_like();
         let base = Observability::compute(&c, &FrameTrace::simulate(&c, SimConfig::small()));
@@ -1246,33 +1060,31 @@ mod tests {
 
     #[test]
     fn sabotaged_odc_trips_breaker_and_falls_back() {
+        // Breaker drill: the hook corrupts one word of the level the
+        // last frame audits, after the debug differential has run. At
+        // every tile width the audit must trip once, and the fallback
+        // must equal the scalar engine bit for bit.
         let c = samples::fig1_like();
         let cfg = SimConfig {
-            seed: SABOTAGE_ODC_SEED,
-            threads: 2,
+            num_vectors: 2048,
             ..SimConfig::small()
         };
         let trace = FrameTrace::simulate(&c, cfg);
-        assert!(trace.engine().is_clean(), "sim must not be sabotaged");
-        let o = Observability::compute(&c, &trace);
-        assert_eq!(o.engine().trips, 1, "sabotage must trip the ODC audit");
-        assert!(o.engine().scalar_fallback);
-        // The fallback result is the scalar engine's, bit for bit.
         let st = ScalarTrace::from_trace(&c, &trace);
         let (obs, frame0) = crate::scalar::observability(&c, &st);
-        for (id, _) in c.iter() {
-            assert_eq!(o.obs(id), obs[id.index()]);
-            assert_eq!(o.odc_mask(id), &frame0[id.index()]);
+        for block in [1, 3, 64, usize::MAX] {
+            CORRUPT_AUDITED_LEVEL.with(|hook| hook.set(true));
+            let o = Observability::compute_with_block(&c, &trace, block);
+            CORRUPT_AUDITED_LEVEL.with(|hook| hook.set(false));
+            assert_eq!(o.engine().trips, 1, "block={block}");
+            assert!(o.engine().scalar_fallback, "block={block}");
+            for (id, _) in c.iter() {
+                assert_eq!(o.obs(id), obs[id.index()], "block={block} {id}");
+                assert_eq!(o.odc_mask(id), &frame0[id.index()], "block={block} {id}");
+            }
         }
-        // The same seed single-threaded is not sabotaged and agrees.
-        let o1 = Observability::compute(
-            &c,
-            &FrameTrace::simulate(&c, SimConfig { threads: 1, ..cfg }),
-        );
-        assert!(o1.engine().is_clean());
-        for (id, _) in c.iter() {
-            assert_eq!(o.obs(id), o1.obs(id));
-        }
+        // Without the hook the same trace stays clean.
+        assert!(Observability::compute(&c, &trace).engine().is_clean());
     }
 
     #[test]

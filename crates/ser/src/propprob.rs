@@ -32,37 +32,17 @@
 //!
 //! # Engine
 //!
-//! The pass mirrors the ODC engine's worker-pool scheme: each level is
-//! a contiguous slot range whose fanouts all sit in strictly higher
-//! (already finalized) slots, so `split_at_mut` fans a level across
-//! `std::thread::scope` workers with disjoint writes. Every slot's
-//! arithmetic is a fixed-order product over its plan entries,
-//! independent of the chunking, so the pool is bit-identical to one
-//! thread by construction — enforced by in-loop `debug_assert!`
-//! re-derivations, one sampled audited level per frame
-//! ([`EngineReport::audited_layers`]), and a circuit breaker that
-//! recomputes the whole estimate serially on an audit mismatch
-//! ([`EngineReport::scalar_fallback`]).
+//! The pass runs on the calling thread, level by level in reverse
+//! slot order: each level is a contiguous slot range whose fanouts all
+//! sit in strictly higher (already finalized) slots, so `split_at_mut`
+//! hands it out as a mutable slice while the higher slots stay
+//! readable. Every slot's arithmetic is a fixed-order product over its
+//! plan entries.
 
-use netlist::{parallel, Circuit, GateId, GateKind, Levelization};
+use netlist::{Circuit, GateId, GateKind, Levelization};
 
 use crate::analysis::{report_from_observabilities, SerConfig, SerReport};
 use crate::sim::{EngineReport, FrameTrace};
-
-/// Magic seed that makes a multi-threaded propagation pass deliberately
-/// corrupt one worker's chunk in the audited level of the first
-/// processed (= last recorded) frame — a test hook proving the sampled
-/// audit trips the breaker and the serial fallback recovers.
-#[doc(hidden)]
-pub const SABOTAGE_PROP_SEED: u64 = 0x5AB0_7A6E_4209;
-
-/// Magic seed that skews the *final* propagation probabilities (after
-/// all audits have passed) — a test hook for the three-way agreement
-/// suite, proving it actually fails on an injected estimator bug. The
-/// skew `obs ↦ 0.5·obs + 0.25` moves every gate's estimate toward ½,
-/// so any circuit's SER shifts measurably while staying in `[0, 1]`.
-#[doc(hidden)]
-pub const SABOTAGE_ESTIMATE_SEED: u64 = 0x5AB0_7A6E_E577;
 
 /// One fanout's contribution to a gate's propagation probability.
 #[derive(Debug)]
@@ -198,9 +178,7 @@ fn mux_sensitization(fanins: &[(u32, bool)], p: &[f64]) -> f64 {
 /// into `out`. `prop_right` holds the finalized probabilities of slots
 /// `right_base..`, `p` the frame's measured signal probabilities (by
 /// slot), and `next_reg` the register probabilities of the following
-/// frame. Serial over its range; both the worker chunks and the audit
-/// oracle run exactly this function, so parallel/serial bit-identity
-/// is structural.
+/// frame.
 #[allow(clippy::too_many_arguments)]
 fn prop_slots(
     plan: &[PropSlot],
@@ -243,87 +221,6 @@ fn prop_slots(
     }
 }
 
-/// Accumulates one reverse pass over slots `lo..hi` of `prop` in
-/// place, fanning the range across scoped workers when it is large
-/// enough. `sabotage` deliberately corrupts the first worker's chunk
-/// (test hook).
-#[allow(clippy::too_many_arguments)]
-fn prop_pass(
-    plan: &[PropSlot],
-    p: &[f64],
-    prop: &mut [f64],
-    lo: usize,
-    hi: usize,
-    next_reg: &[f64],
-    last_frame: bool,
-    workers: usize,
-    sabotage: bool,
-) {
-    let n = hi - lo;
-    let (left, right) = prop.split_at_mut(hi);
-    let cur = &mut left[lo..];
-    let workers = parallel::clamp_workers(workers, n);
-    if workers <= 1 {
-        prop_slots(plan, p, right, hi, next_reg, last_frame, cur, lo);
-        if sabotage {
-            cur[0] = (cur[0] + 0.5).clamp(0.25, 1.0);
-        }
-        return;
-    }
-    let chunk_slots = n.div_ceil(workers);
-    let right: &[f64] = right;
-    std::thread::scope(|scope| {
-        for (ci, chunk) in cur.chunks_mut(chunk_slots).enumerate() {
-            scope.spawn(move || {
-                prop_slots(
-                    plan,
-                    p,
-                    right,
-                    hi,
-                    next_reg,
-                    last_frame,
-                    chunk,
-                    lo + ci * chunk_slots,
-                );
-                if sabotage && ci == 0 {
-                    chunk[0] = (chunk[0] + 0.5).clamp(0.25, 1.0);
-                }
-            });
-        }
-    });
-}
-
-/// Recomputes slots `lo..hi` serially and compares them with what the
-/// (possibly parallel) pass wrote. Returns `true` when identical.
-fn verify_pass(
-    plan: &[PropSlot],
-    p: &[f64],
-    prop: &[f64],
-    lo: usize,
-    hi: usize,
-    next_reg: &[f64],
-    last_frame: bool,
-) -> bool {
-    let mut scratch = vec![0.0; hi - lo];
-    prop_slots(
-        plan,
-        p,
-        &prop[hi..],
-        hi,
-        next_reg,
-        last_frame,
-        &mut scratch,
-        lo,
-    );
-    prop[lo..hi] == scratch[..]
-}
-
-/// Deterministically samples the level to audit for a frame (0 is the
-/// layer-0 source region, processed last).
-fn audit_pass(frame: usize, num_levels: usize) -> usize {
-    frame.wrapping_mul(0x9E37_79B9) % num_levels
-}
-
 /// Per-gate fault propagation probabilities derived from a frame
 /// trace — the logic-masking estimate of the propagation-probability
 /// engine, playing the role [`crate::odc::Observability`] plays for
@@ -331,67 +228,20 @@ fn audit_pass(frame: usize, num_levels: usize) -> usize {
 #[derive(Debug, Clone)]
 pub struct PropProb {
     prop: Vec<f64>,
-    engine: EngineReport,
 }
 
 impl PropProb {
-    /// Computes propagation probabilities from a simulated trace.
+    /// Computes propagation probabilities from a simulated trace: one
+    /// backward pass per frame, last frame first.
     pub fn compute(circuit: &Circuit, trace: &FrameTrace) -> Self {
-        let config = *trace.config();
-        let threads = parallel::resolve_workers(config.threads);
-        let sabotage_run = config.seed == SABOTAGE_PROP_SEED && threads > 1;
-        let mut engine = EngineReport {
-            threads,
-            ..EngineReport::default()
-        };
-        let mut tripped = false;
-        let prop = Self::backward(circuit, trace, threads, sabotage_run, &mut engine)
-            .unwrap_or_else(|| {
-                tripped = true;
-                Vec::new()
-            });
-        let mut prop = if tripped {
-            // Circuit breaker: recompute serially (the audit oracle
-            // path) against the already validated trace values.
-            engine.scalar_fallback = true;
-            let mut serial_engine = EngineReport::default();
-            Self::backward(circuit, trace, 1, false, &mut serial_engine)
-                .expect("serial propagation pass cannot trip its own audit")
-        } else {
-            prop
-        };
-        if config.seed == SABOTAGE_ESTIMATE_SEED {
-            // Post-audit estimator-bug injection (test hook): the
-            // agreement suite must flag the skewed estimate.
-            for v in prop.iter_mut() {
-                *v = 0.5 * *v + 0.25;
-            }
-        }
-        Self {
-            prop,
-            engine: trace.engine().merged(engine),
-        }
-    }
-
-    /// Runs the backward propagation over all frames, returning `None`
-    /// when a sampled audit catches a divergent worker chunk.
-    fn backward(
-        circuit: &Circuit,
-        trace: &FrameTrace,
-        threads: usize,
-        sabotage_run: bool,
-        engine: &mut EngineReport,
-    ) -> Option<Vec<f64>> {
         let config = trace.config();
         let bits = config.num_vectors as f64;
+        let wps = config.num_vectors / 64;
         let frames = trace.frames();
         let levels = trace.levels();
         let slots = levels.num_gates();
         let r = levels.num_registers();
-        let s0 = levels.level_slots(0).end;
-        let num_levels = levels.num_levels();
         let plan = build_prop_plan(circuit, levels);
-        let wps = config.num_vectors / 64;
 
         let mut prop = vec![0.0; slots];
         let mut next_reg = vec![0.0; r];
@@ -404,68 +254,21 @@ impl PropProb {
                 let ones = crate::signature::popcount_words(&words[s * wps..(s + 1) * wps]);
                 *ps = ones as f64 / bits;
             }
-            let audit = audit_pass(f, num_levels);
-            let sab_pass = if sabotage_run && last {
-                Some(audit)
-            } else {
-                None
-            };
-            // Backward over the combinational levels, then the layer-0
+            // Backward over the combinational levels, then level 0, the
             // source region (registers, inputs, constants).
-            for l in (1..num_levels).rev() {
+            for l in (0..levels.num_levels()).rev() {
                 let lr = levels.level_slots(l);
-                prop_pass(
+                let (left, right) = prop.split_at_mut(lr.end);
+                prop_slots(
                     &plan,
                     &p,
-                    &mut prop,
-                    lr.start,
+                    right,
                     lr.end,
                     &next_reg,
                     last,
-                    threads,
-                    sab_pass == Some(l),
+                    &mut left[lr.start..],
+                    lr.start,
                 );
-                #[cfg(debug_assertions)]
-                if threads > 1 && sab_pass.is_none() {
-                    debug_assert!(
-                        verify_pass(&plan, &p, &prop, lr.start, lr.end, &next_reg, last),
-                        "parallel propagation level {l} diverged from serial evaluation"
-                    );
-                }
-            }
-            prop_pass(
-                &plan,
-                &p,
-                &mut prop,
-                0,
-                s0,
-                &next_reg,
-                last,
-                threads,
-                sab_pass == Some(0),
-            );
-            #[cfg(debug_assertions)]
-            if threads > 1 && sab_pass.is_none() {
-                debug_assert!(
-                    verify_pass(&plan, &p, &prop, 0, s0, &next_reg, last),
-                    "parallel propagation source region diverged from serial evaluation"
-                );
-            }
-            // One sampled level per frame is re-derived serially when
-            // the pool is active — the same sampled-audit circuit
-            // breaker as the simulation and ODC engines.
-            if threads > 1 {
-                engine.audited_layers += 1;
-                let (alo, ahi) = if audit == 0 {
-                    (0, s0)
-                } else {
-                    let ar = levels.level_slots(audit);
-                    (ar.start, ar.end)
-                };
-                if !verify_pass(&plan, &p, &prop, alo, ahi, &next_reg, last) {
-                    engine.trips += 1;
-                    return None;
-                }
             }
             // Register outputs act as frame sources; record their
             // probabilities for the previous (earlier) frame's pass.
@@ -476,7 +279,7 @@ impl PropProb {
         for (id, _) in circuit.iter() {
             out[id.index()] = prop[levels.slot_of(id)];
         }
-        Some(out)
+        Self { prop: out }
     }
 
     /// `prop(g)`: estimated probability that a frame-0 fault at `g` is
@@ -488,12 +291,6 @@ impl PropProb {
     /// All propagation probabilities, indexed by gate.
     pub fn as_slice(&self) -> &[f64] {
         &self.prop
-    }
-
-    /// Engine diagnostics (simulation + propagation merged): thread
-    /// count, audits and circuit-breaker activity.
-    pub fn engine(&self) -> &EngineReport {
-        &self.engine
     }
 }
 
@@ -523,8 +320,7 @@ pub fn propprob_report(
     config: &SerConfig,
 ) -> Result<SerReport, retime::RetimeError> {
     let trace = FrameTrace::simulate(circuit, config.sim);
-    let pp = PropProb::compute(circuit, &trace);
-    report_from_observabilities(circuit, config, pp.as_slice(), *pp.engine())
+    propprob_report_with_trace(circuit, config, &trace)
 }
 
 /// [`propprob_report`] reusing an already simulated trace (the
@@ -539,7 +335,7 @@ pub fn propprob_report_with_trace(
     trace: &FrameTrace,
 ) -> Result<SerReport, retime::RetimeError> {
     let pp = PropProb::compute(circuit, trace);
-    report_from_observabilities(circuit, config, pp.as_slice(), *pp.engine())
+    report_from_observabilities(circuit, config, pp.as_slice(), EngineReport::default())
 }
 
 #[cfg(test)]
@@ -556,7 +352,9 @@ mod tests {
     #[test]
     fn deterministic_cone_is_exactly_one() {
         // BUF/NOT/XOR never mask, so every gate in the output cone has
-        // propagation probability exactly 1 and the dead gate exactly 0.
+        // propagation probability exactly 1 and the dead gate exactly 0
+        // — under every seed. The last two seeds guard against library
+        // code that reacts to particular seed values.
         let mut b = CircuitBuilder::new("det");
         b.input("a");
         b.input("b2");
@@ -566,11 +364,23 @@ mod tests {
         b.gate("dead", GateKind::Not, &["b2"]).unwrap();
         b.output("z").unwrap();
         let c = b.build().unwrap();
-        let pp = prop_of(&c, SimConfig::small());
-        for name in ["a", "b2", "x", "y", "z"] {
-            assert_eq!(pp.prop(c.find(name).unwrap()), 1.0, "{name}");
+        for seed in [SimConfig::small().seed, 0x5AB0_7A6E_4209, 0x5AB0_7A6E_E577] {
+            let pp = prop_of(
+                &c,
+                SimConfig {
+                    seed,
+                    ..SimConfig::small()
+                },
+            );
+            for name in ["a", "b2", "x", "y", "z"] {
+                assert_eq!(
+                    pp.prop(c.find(name).unwrap()),
+                    1.0,
+                    "{name}, seed {seed:#x}"
+                );
+            }
+            assert_eq!(pp.prop(c.find("dead").unwrap()), 0.0, "seed {seed:#x}");
         }
-        assert_eq!(pp.prop(c.find("dead").unwrap()), 0.0);
     }
 
     #[test]
@@ -657,59 +467,9 @@ mod tests {
                 ..SimConfig::small()
             };
             let pp = prop_of(&c, cfg);
-            assert!(pp.engine().is_clean(), "threads={threads}");
             for (id, _) in c.iter() {
                 assert_eq!(pp.prop(id), base.prop(id), "threads={threads}: {id}");
             }
         }
-    }
-
-    #[test]
-    fn sabotaged_worker_trips_breaker_and_falls_back() {
-        let c = samples::fig1_like();
-        let cfg = SimConfig {
-            seed: SABOTAGE_PROP_SEED,
-            threads: 2,
-            ..SimConfig::small()
-        };
-        let pp = prop_of(&c, cfg);
-        assert_eq!(pp.engine().trips, 1, "sabotage must trip the audit");
-        assert!(pp.engine().scalar_fallback);
-        // The fallback result equals the single-threaded run with the
-        // same seed (which is not sabotaged), bit for bit.
-        let serial = prop_of(&c, SimConfig { threads: 1, ..cfg });
-        assert!(serial.engine().is_clean());
-        for (id, _) in c.iter() {
-            assert_eq!(pp.prop(id), serial.prop(id));
-        }
-    }
-
-    #[test]
-    fn estimate_sabotage_skews_the_result() {
-        let c = samples::s27_like();
-        let clean = prop_of(&c, SimConfig::small());
-        let skewed = prop_of(
-            &c,
-            SimConfig {
-                seed: SABOTAGE_ESTIMATE_SEED,
-                ..SimConfig::small()
-            },
-        );
-        // The skew moves every value toward ½ — but the *clean* run
-        // under the sabotage seed differs from the baseline seed
-        // anyway (different vectors), so compare against the skew law
-        // applied to an unskewed run of the same seed is impossible
-        // from outside; instead check the invariant the skew
-        // guarantees: no value below ¼ or above ¾.
-        for (id, _) in c.iter() {
-            let v = skewed.prop(id);
-            assert!((0.25..=0.75).contains(&v), "{id}: {v}");
-        }
-        // And at least one gate moved away from its clean estimate.
-        assert!(
-            c.iter()
-                .any(|(id, _)| (skewed.prop(id) - clean.prop(id)).abs() > 0.05),
-            "sabotage must shift the estimate"
-        );
     }
 }

@@ -7,12 +7,12 @@
 //! 1. **Differential oracle** — the arena engine
 //!    ([`FrameTrace`](crate::sim::FrameTrace),
 //!    [`Observability`](crate::odc::Observability)) must be bit-for-bit
-//!    identical to this code; the proptest suite and the in-loop
-//!    audits compare against it.
-//! 2. **Circuit-breaker fallback** — when a sampled audit catches a
-//!    divergence in the parallel engine, the run is discarded and
-//!    recomputed here, and the trip is recorded in the
-//!    [`EngineReport`](crate::sim::EngineReport).
+//!    identical to this code; the unit tests and the proptest suite
+//!    compare against it.
+//! 2. **Circuit-breaker fallback** — when the ODC pass's per-frame
+//!    audit catches the blocked kernel diverging from its word oracle,
+//!    the observabilities are recomputed here, and the trip is
+//!    recorded in the [`EngineReport`](crate::sim::EngineReport).
 //!
 //! The math is kept line-for-line equivalent to the pre-arena engine;
 //! only the needless `Signature` clones were removed (register-ODC

@@ -11,47 +11,26 @@
 //! Signatures live in one flat [`SignatureArena`] (`frames × gates ×
 //! words` of `u64`) instead of per-gate heap `Signature`s, and gates
 //! are evaluated level by level in the circuit's
-//! [`Levelization`] slot order. Because every
+//! [`Levelization`] slot order, on the calling thread. Because every
 //! level is a contiguous slot range whose fanins all sit in lower
-//! slots, `split_at_mut` hands each level out as a disjoint mutable
-//! slice while all earlier levels stay readable — which is how the
-//! multi-threaded path (`SimConfig::threads`, `SER_THREADS`)
-//! partitions a level across `std::thread::scope` workers without any
-//! `unsafe`.
+//! slots, `split_at_mut` hands each level out as a mutable slice while
+//! all earlier levels stay readable, without any `unsafe`.
 //!
 //! # Determinism and the bit-identity oracle
 //!
-//! The parallel engine is bit-for-bit identical to the scalar
-//! reference in [`crate::scalar`]: all gate functions are exact
-//! bitwise operations, workers write disjoint slots, and every RNG
-//! draw (initial register state, per-frame inputs) happens serially in
-//! the original order before any worker starts. Three mechanisms
-//! enforce this instead of assuming it:
-//!
-//! * in debug builds, every parallel level is re-evaluated serially
-//!   and `debug_assert!`-compared in-loop;
-//! * in all builds, one sampled level per recorded frame is audited
-//!   the same way ([`EngineReport::audited_layers`]);
-//! * an audit mismatch trips a circuit breaker: the run is discarded,
-//!   recomputed with the scalar engine, and the trip is recorded
-//!   ([`EngineReport::trips`], [`EngineReport::scalar_fallback`]) so
-//!   the supervisor's degradation report can surface it.
+//! The arena engine is bit-for-bit identical to the scalar reference
+//! in [`crate::scalar`]: all gate functions are exact bitwise
+//! operations, and every RNG draw (initial register state, per-frame
+//! inputs) happens in the original order on full rows, so the word
+//! tiling of the sweep cannot change a bit. The unit tests and
+//! `tests/ser_parallel_identity.rs` pin this against the oracle.
 
-use netlist::parallel;
 use netlist::rng::Xoshiro256;
 use netlist::{Circuit, GateId, GateKind, Levelization};
 
 use crate::arena::{SigRef, SignatureArena};
-use crate::scalar::ScalarTrace;
+use crate::odc::{sweep_tiles, ODC_BLOCK_WORDS};
 use crate::signature::{eval_gate_words, map_words1, map_words2, map_words3};
-
-/// Magic seed that makes a multi-threaded simulation deliberately
-/// corrupt one worker's output in the audited layer of frame 0 —
-/// a test hook for the circuit-breaker fallback path. Chosen as a
-/// constant (rather than a global flag) so concurrently running tests
-/// cannot poison each other.
-#[doc(hidden)]
-pub const SABOTAGE_SIM_SEED: u64 = 0x5AB0_7A6E_0051;
 
 /// Simulation parameters.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -65,10 +44,12 @@ pub struct SimConfig {
     pub warmup: usize,
     /// PRNG seed for inputs and the initial state.
     pub seed: u64,
-    /// Worker threads for the levelized passes: explicit count, or 0
-    /// to resolve via `SER_THREADS` / available parallelism (see
-    /// [`netlist::parallel::resolve_workers`]). The result is
-    /// bit-identical for every thread count.
+    /// Worker threads for [`crate::odc::exact_fault_injection`]'s
+    /// per-victim pool: explicit count, or 0 to resolve via
+    /// `SER_THREADS` / available parallelism (see
+    /// [`netlist::parallel::resolve_workers`]). The simulation, ODC and
+    /// propagation-probability passes run on the calling thread, so
+    /// every other result ignores it.
     pub threads: usize,
 }
 
@@ -95,15 +76,36 @@ impl SimConfig {
             threads: 0,
         }
     }
+
+    /// Checks that the configuration can be simulated: at least one
+    /// recorded frame, and a vector count that is a positive multiple
+    /// of 64 (signatures are packed into 64-bit words). Every front end
+    /// that builds a `SimConfig` from user input calls this before
+    /// simulating; the engine itself asserts the same rule.
+    ///
+    /// # Errors
+    ///
+    /// A one-line message naming the violated rule and the value.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.num_vectors == 0 || !self.num_vectors.is_multiple_of(64) {
+            return Err(format!(
+                "vectors must be a positive multiple of 64, got {}",
+                self.num_vectors
+            ));
+        }
+        if self.frames == 0 {
+            return Err("frames must be positive, got 0".to_string());
+        }
+        Ok(())
+    }
 }
 
-/// What the arena engine did on a run: thread count, audit volume and
-/// circuit-breaker activity. Clean runs have `trips == 0`.
+/// What the ODC pass's per-frame audit did on a run (see
+/// [`crate::odc`]): audit volume and circuit-breaker activity. Clean
+/// runs have `trips == 0`.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineReport {
-    /// Resolved worker count used for the levelized passes.
-    pub threads: usize,
-    /// Sampled layers re-verified against the serial evaluation.
+    /// Sampled levels re-derived with the word-at-a-time oracle.
     pub audited_layers: u64,
     /// Audit mismatches (each one triggered a scalar fallback).
     pub trips: u64,
@@ -112,17 +114,17 @@ pub struct EngineReport {
 }
 
 impl EngineReport {
-    /// Combines two reports (sim + ODC) into one.
+    /// Combines two reports (e.g. the original circuit's and a retimed
+    /// one's) into one.
     pub fn merged(self, other: EngineReport) -> EngineReport {
         EngineReport {
-            threads: self.threads.max(other.threads),
             audited_layers: self.audited_layers + other.audited_layers,
             trips: self.trips + other.trips,
             scalar_fallback: self.scalar_fallback || other.scalar_fallback,
         }
     }
 
-    /// Whether the parallel engine ran without breaker activity.
+    /// Whether the run had no breaker activity.
     pub fn is_clean(&self) -> bool {
         self.trips == 0 && !self.scalar_fallback
     }
@@ -265,9 +267,7 @@ impl EvalPlan {
 /// a chunk of one), reading fanins from `prev` (the words of slots
 /// `0..lo`) and writing into `cur` (the words of slots `lo..hi`). The
 /// word sub-range is the cache-blocking lever: `step` sweeps stripes
-/// outermost across all levels so the touched lines of the frame stay
-/// L2-resident across a whole pass (see
-/// [`crate::odc::resolve_block_words`]).
+/// outermost across all levels (see [`crate::odc::sweep_tiles`]).
 pub(crate) fn eval_slots(
     plan: &EvalPlan,
     wps: usize,
@@ -325,66 +325,6 @@ pub(crate) fn eval_slots(
     }
 }
 
-/// Evaluates words `b0..b1` of one level of `frame` in place, fanning
-/// the level across `workers` scoped threads when it is large enough.
-/// `sabotage` deliberately corrupts the first worker's chunk (test
-/// hook).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_level(
-    plan: &EvalPlan,
-    wps: usize,
-    b0: usize,
-    b1: usize,
-    frame: &mut [u64],
-    lo: usize,
-    hi: usize,
-    workers: usize,
-    sabotage: bool,
-) {
-    let (prev, rest) = frame.split_at_mut(lo * wps);
-    let cur = &mut rest[..(hi - lo) * wps];
-    let n = hi - lo;
-    let workers = parallel::clamp_workers(workers, n);
-    if workers <= 1 {
-        eval_slots(plan, wps, b0, b1, prev, cur, lo);
-        if sabotage {
-            cur[b0] ^= 1;
-        }
-        return;
-    }
-    let chunk_slots = n.div_ceil(workers);
-    let prev: &[u64] = prev;
-    std::thread::scope(|scope| {
-        for (ci, chunk) in cur.chunks_mut(chunk_slots * wps).enumerate() {
-            let start = lo + ci * chunk_slots;
-            scope.spawn(move || {
-                eval_slots(plan, wps, b0, b1, prev, chunk, start);
-                if sabotage && ci == 0 {
-                    chunk[b0] ^= 1;
-                }
-            });
-        }
-    });
-}
-
-/// Deterministically samples the level to audit for a frame: `None`
-/// when the circuit has no combinational level to check.
-fn audit_level(frame: usize, num_levels: usize) -> Option<usize> {
-    if num_levels <= 1 {
-        return None;
-    }
-    // Weyl-style stride so successive frames visit different levels.
-    Some(1 + (frame.wrapping_mul(0x9E37_79B9)) % (num_levels - 1))
-}
-
-/// Re-evaluates one level serially and compares it with what the
-/// (possibly parallel) pass wrote. Returns `true` when identical.
-fn verify_level(plan: &EvalPlan, wps: usize, frame: &[u64], lo: usize, hi: usize) -> bool {
-    let mut check = vec![0u64; (hi - lo) * wps];
-    eval_slots(plan, wps, 0, wps, &frame[..lo * wps], &mut check, lo);
-    frame[lo * wps..hi * wps] == check[..]
-}
-
 /// The recorded signatures of an `n`-frame expanded simulation.
 ///
 /// `value(frame, gate)` is the signature at the gate's output during
@@ -396,41 +336,26 @@ pub struct FrameTrace {
     config: SimConfig,
     levels: Levelization,
     arena: SignatureArena,
-    engine: EngineReport,
 }
 
 impl FrameTrace {
     /// Simulates `circuit` under `config`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `config` fails [`SimConfig::validate`].
     pub fn simulate(circuit: &Circuit, config: SimConfig) -> Self {
+        if let Err(e) = config.validate() {
+            panic!("invalid simulation config: {e}");
+        }
         let bits = config.num_vectors;
-        assert!(config.frames > 0, "at least one recorded frame required");
         let levels = circuit.levelize();
         let plan = EvalPlan::new(circuit, &levels);
-        let threads = parallel::resolve_workers(config.threads);
-        let sabotage = config.seed == SABOTAGE_SIM_SEED && threads > 1;
         let wps = bits / 64;
         let slots = levels.num_gates();
-        let num_levels = levels.num_levels();
-        let mut engine = EngineReport {
-            threads,
-            ..EngineReport::default()
-        };
         let mut rng = Xoshiro256::seed_from_u64(config.seed);
         let mut arena = SignatureArena::new(config.frames, slots, bits);
-
-        // Word-sweep stripes (cache blocking, shared tile width with
-        // the ODC engine). The threaded path splits slots across
-        // workers instead and runs one full-width sweep to keep the
-        // spawn count down.
-        let block = crate::odc::resolve_block_words().max(1);
-        let sweeps: Vec<(usize, usize)> = if threads <= 1 {
-            (0..wps)
-                .step_by(block)
-                .map(|b0| (b0, (b0 + block).min(wps)))
-                .collect()
-        } else {
-            vec![(0, wps)]
-        };
+        let sweeps = sweep_tiles(wps, ODC_BLOCK_WORDS);
 
         // Initial register state: same draw order as the scalar engine
         // (register-major, words in ascending order).
@@ -442,17 +367,10 @@ impl FrameTrace {
         let mut warm = vec![0u64; slots * wps];
         for _ in 0..config.warmup {
             step(
-                &plan, &levels, wps, &sweeps, &mut rng, &mut state, &mut warm, threads, None,
+                &plan, &levels, wps, &sweeps, &mut rng, &mut state, &mut warm,
             );
         }
-
-        let mut tripped = false;
         for f in 0..config.frames {
-            let sab_level = if sabotage && f == 0 {
-                audit_level(f, num_levels)
-            } else {
-                None
-            };
             step(
                 &plan,
                 &levels,
@@ -461,41 +379,13 @@ impl FrameTrace {
                 &mut rng,
                 &mut state,
                 arena.frame_mut(f),
-                threads,
-                sab_level,
             );
-            if threads > 1 {
-                if let Some(al) = audit_level(f, num_levels) {
-                    engine.audited_layers += 1;
-                    let r = levels.level_slots(al);
-                    if !verify_level(&plan, wps, arena.frame(f), r.start, r.end) {
-                        engine.trips += 1;
-                        tripped = true;
-                        break;
-                    }
-                }
-            }
-        }
-
-        if tripped {
-            // Circuit breaker: discard everything and recompute with
-            // the scalar reference engine.
-            let scalar = ScalarTrace::simulate(circuit, config);
-            for f in 0..config.frames {
-                for (id, _) in circuit.iter() {
-                    arena
-                        .sig_mut(f, levels.slot_of(id))
-                        .copy_from_slice(scalar.value(f, id).as_words());
-                }
-            }
-            engine.scalar_fallback = true;
         }
 
         Self {
             config,
             levels,
             arena,
-            engine,
         }
     }
 
@@ -549,11 +439,6 @@ impl FrameTrace {
         total as f64 / (self.config.frames * self.config.num_vectors) as f64
     }
 
-    /// Engine diagnostics: thread count, audits and breaker activity.
-    pub fn engine(&self) -> &EngineReport {
-        &self.engine
-    }
-
     /// The levelization the arena is laid out by.
     pub(crate) fn levels(&self) -> &Levelization {
         &self.levels
@@ -567,7 +452,6 @@ impl FrameTrace {
 
 /// Advances the circuit by one clock cycle: fresh random inputs,
 /// levelized combinational evaluation, register update.
-#[allow(clippy::too_many_arguments)]
 fn step(
     plan: &EvalPlan,
     levels: &Levelization,
@@ -576,8 +460,6 @@ fn step(
     rng: &mut Xoshiro256,
     state: &mut [u64],
     frame: &mut [u64],
-    threads: usize,
-    sab_level: Option<usize>,
 ) {
     let r = plan.num_registers;
     let ni = plan.num_inputs;
@@ -600,33 +482,13 @@ fn step(
     }
     // Word-sweep stripes outermost (cache blocking, see `eval_slots`);
     // levels inner. Words never interact, so the stripe order cannot
-    // change results — the debug differential below re-checks that on
-    // every multi-threaded run.
+    // change results.
     for &(b0, b1) in sweeps {
         for l in 1..levels.num_levels() {
-            let range = levels.level_slots(l);
-            let sab = sab_level == Some(l);
-            eval_level(
-                plan,
-                wps,
-                b0,
-                b1,
-                frame,
-                range.start,
-                range.end,
-                threads,
-                sab,
-            );
-        }
-    }
-    #[cfg(debug_assertions)]
-    if threads > 1 && sab_level.is_none() {
-        for l in 1..levels.num_levels() {
-            let range = levels.level_slots(l);
-            debug_assert!(
-                verify_level(plan, wps, frame, range.start, range.end),
-                "parallel level {l} diverged from serial evaluation"
-            );
+            let lr = levels.level_slots(l);
+            let (prev, rest) = frame.split_at_mut(lr.start * wps);
+            let cur = &mut rest[..lr.len() * wps];
+            eval_slots(plan, wps, b0, b1, prev, cur, lr.start);
         }
     }
     // Capture next state.
@@ -747,7 +609,6 @@ mod tests {
                     );
                 }
             }
-            assert!(arena.engine().is_clean());
         }
     }
 
@@ -763,8 +624,6 @@ mod tests {
                     ..SimConfig::small()
                 },
             );
-            assert_eq!(t.engine().threads, threads);
-            assert!(t.engine().is_clean(), "threads={threads}");
             for f in 0..t.frames() {
                 for (id, _) in c.iter() {
                     assert_eq!(base.value(f, id), t.value(f, id), "threads={threads}");
@@ -774,30 +633,23 @@ mod tests {
     }
 
     #[test]
-    fn sabotaged_worker_trips_breaker_and_falls_back() {
-        let c = samples::fig1_like();
-        let cfg = SimConfig {
-            seed: SABOTAGE_SIM_SEED,
-            threads: 2,
+    fn validate_names_the_violated_rule() {
+        assert_eq!(SimConfig::small().validate(), Ok(()));
+        for num_vectors in [0, 100] {
+            let e = SimConfig {
+                num_vectors,
+                ..SimConfig::small()
+            }
+            .validate()
+            .unwrap_err();
+            assert!(e.contains("multiple of 64"), "{e}");
+        }
+        let e = SimConfig {
+            frames: 0,
             ..SimConfig::small()
-        };
-        let t = FrameTrace::simulate(&c, cfg);
-        assert_eq!(t.engine().trips, 1, "sabotage must trip the audit");
-        assert!(t.engine().scalar_fallback);
-        // The fallback result is the scalar engine's, bit for bit.
-        let scalar = ScalarTrace::simulate(&c, cfg);
-        for f in 0..cfg.frames {
-            for (id, _) in c.iter() {
-                assert_eq!(t.value(f, id).words(), scalar.value(f, id).as_words());
-            }
         }
-        // The same seed without threads is not sabotaged.
-        let serial = FrameTrace::simulate(&c, SimConfig { threads: 1, ..cfg });
-        assert!(serial.engine().is_clean());
-        for f in 0..cfg.frames {
-            for (id, _) in c.iter() {
-                assert_eq!(t.value(f, id), serial.value(f, id));
-            }
-        }
+        .validate()
+        .unwrap_err();
+        assert!(e.contains("frames must be positive"), "{e}");
     }
 }

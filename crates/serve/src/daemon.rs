@@ -542,22 +542,12 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     };
 
     // --- spec sanity --------------------------------------------------
-    // The SER engine's bit-packed signatures require the vector count
-    // to be a positive multiple of 64; anything else would panic the
+    // A simulation size the SER engine cannot run would panic the
     // worker thread deep in the solver. Reject it as a job failure
     // (exit 2, like every other invalid input) instead.
-    if spec.vectors == 0 || spec.vectors % 64 != 0 {
-        finish(
-            JobState::Failed {
-                exit: 2,
-                error: format!(
-                    "`vectors` must be a positive multiple of 64, got {}",
-                    spec.vectors
-                ),
-            },
-            false,
-            None,
-        );
+    let sim = spec.sim_config();
+    if let Err(error) = sim.validate() {
+        finish(JobState::Failed { exit: 2, error }, false, None);
         return;
     }
 
@@ -645,13 +635,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     let solver = match spec.closure {
         ClosureChoice::Warm => SolverConfig::default(),
         ClosureChoice::Fresh => SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
-    };
-    let sim = ser_engine::sim::SimConfig {
-        num_vectors: spec.vectors,
-        frames: spec.frames,
-        seed: spec.seed,
-        threads: spec.threads,
-        ..Default::default()
     };
 
     let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);

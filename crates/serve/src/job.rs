@@ -11,6 +11,8 @@
 //! queued ──(deadline_ms elapsed before a worker dequeues)─ expired  exit 5
 //! ```
 
+use ser_engine::sim::SimConfig;
+
 use crate::json::Json;
 
 /// A job identifier (client-chosen or daemon-generated, unique for
@@ -157,6 +159,17 @@ impl JobSpec {
         }
     }
 
+    /// The simulation the job's solve runs.
+    pub fn sim_config(&self) -> SimConfig {
+        SimConfig {
+            num_vectors: self.vectors,
+            frames: self.frames,
+            seed: self.seed,
+            threads: self.threads,
+            ..SimConfig::default()
+        }
+    }
+
     /// Serializes to the JSON shape shared by `submit` requests and
     /// the persisted `jobs/<id>.job` recovery files.
     pub fn to_json(&self) -> Json {
@@ -226,19 +239,12 @@ impl JobSpec {
             }
         };
         if let Some(n) = uint("vectors")? {
-            // The SER engine's bit-packed signatures require a
-            // positive multiple of 64.
-            if n == 0 || n % 64 != 0 {
-                return Err("`vectors` must be a positive multiple of 64".into());
-            }
             spec.vectors = n as usize;
         }
         if let Some(n) = uint("frames")? {
-            if n == 0 {
-                return Err("`frames` must be positive".into());
-            }
             spec.frames = n as usize;
         }
+        spec.sim_config().validate()?;
         if let Some(n) = uint("seed")? {
             spec.seed = n;
         }
@@ -371,6 +377,7 @@ mod tests {
         assert!(bad(r#"{"source":"x","format":"bench"}"#).contains("id"));
         assert!(bad(r#"{"id":"a","source":"x","format":"edif"}"#).contains("edif"));
         assert!(bad(r#"{"id":"a","source":"x","format":"bench","vectors":0}"#).contains("vectors"));
+        assert!(bad(r#"{"id":"a","source":"x","format":"bench","frames":0}"#).contains("frames"));
         assert!(
             bad(r#"{"id":"a","source":"x","format":"bench","time_budget":-1}"#)
                 .contains("time_budget")

@@ -268,12 +268,20 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
             }
             Some(&b) if b < 0x20 => return Err(format!("raw control byte at {}", *pos)),
             Some(_) => {
-                // Copy one UTF-8 scalar (input is a &str, so this is
-                // always a valid boundary walk).
-                let s = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "bad utf-8".to_string())?;
-                let c = s.chars().next().ok_or_else(|| "bad utf-8".to_string())?;
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the run of plain bytes up to the next quote,
+                // backslash or control byte in one step. Those stop
+                // bytes are ASCII, so the run of the `&str` input ends on
+                // a char boundary, and each byte is validated once.
+                let start = *pos;
+                while bytes
+                    .get(*pos)
+                    .is_some_and(|&b| b != b'"' && b != b'\\' && b >= 0x20)
+                {
+                    *pos += 1;
+                }
+                let run = std::str::from_utf8(&bytes[start..*pos])
+                    .map_err(|_| "bad utf-8".to_string())?;
+                out.push_str(run);
             }
         }
     }
@@ -394,6 +402,18 @@ mod tests {
             Json::Str("Aé😀".to_string())
         );
         assert!(Json::parse(r#""\ud800""#).is_err()); // lone surrogate
+    }
+
+    #[test]
+    fn long_strings_decode_in_linear_time() {
+        // A multi-megabyte submit line must not stall the reader: a
+        // decoder that re-validates the rest of the line per character
+        // takes minutes on this input.
+        let text: String = "gate = NAND(a, b); # é😀 \\\"\\n\\u00e9 ".repeat(16_000);
+        let line = Json::Str(text.clone()).to_string();
+        let t0 = std::time::Instant::now();
+        assert_eq!(Json::parse(&line).unwrap(), Json::Str(text));
+        assert!(t0.elapsed().as_secs() < 2, "took {:?}", t0.elapsed());
     }
 
     #[test]

@@ -318,3 +318,28 @@ fn cancel_running_job() {
     daemon.drain();
     let _ = std::fs::remove_dir_all(daemon.cache().root());
 }
+
+/// A spec that reaches a worker without going through the request
+/// parser (the library API, or a recovered job file) still gets its
+/// simulation size checked: a clean exit-2 failure naming the rule,
+/// never a panic in the SER engine.
+#[test]
+fn worker_rejects_unsimulatable_sizes() {
+    let daemon = Daemon::start(ServeConfig::new(tmpdir("bad_sizes"))).expect("daemon boots");
+    let source = bench_format::write(&samples::s27_like());
+    for (id, vectors, frames, rule) in [
+        ("odd-vectors", 100, 4, "multiple of 64"),
+        ("no-frames", 64, 0, "frames must be positive"),
+    ] {
+        let mut spec = real_spec(id, &source);
+        spec.vectors = vectors;
+        spec.frames = frames;
+        daemon.submit(spec).expect("job admitted");
+        match wait_terminal(&daemon, id, Duration::from_secs(60)) {
+            JobState::Failed { exit: 2, error } => assert!(error.contains(rule), "{id}: {error}"),
+            other => panic!("{id}: expected a usage failure, got {other:?}"),
+        }
+    }
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(daemon.cache().root());
+}

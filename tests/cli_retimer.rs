@@ -308,3 +308,51 @@ fn retimer_exits_two_on_missing_input_file() {
         String::from_utf8_lossy(&out.stderr)
     );
 }
+
+#[test]
+fn retimer_exits_two_on_bad_simulation_sizes() {
+    // 2 = usage error: every subcommand that simulates checks the size
+    // with `SimConfig::validate` instead of panicking in the engine.
+    let dir = workdir("bad_sizes");
+    let input = dir.join("s27.bench");
+    netlist::bench_format::write_file(&netlist::samples::s27_like(), &input).expect("write input");
+    let input = input.to_str().unwrap();
+    let bench_out = dir.join("BENCH_ser.json");
+    let bench_out = bench_out.to_str().unwrap();
+    let cases: [(&[&str], &str); 6] = [
+        (&["estimate", input, "--vectors", "100"], "multiple of 64"),
+        (
+            &["estimate", input, "--frames", "0"],
+            "frames must be positive",
+        ),
+        (&["solve", input, "--vectors", "0"], "multiple of 64"),
+        (&["fault-sim", input, "--vectors", "100"], "multiple of 64"),
+        (
+            &["harden", input, "--frames", "0"],
+            "frames must be positive",
+        ),
+        (
+            &[
+                "bench-ser",
+                "--samples-only",
+                "--vectors",
+                "100",
+                "--out",
+                bench_out,
+            ],
+            "multiple of 64",
+        ),
+    ];
+    for (args, rule) in cases {
+        let out = Command::new(bin())
+            .args(args)
+            .output()
+            .expect("run retimer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(rule), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(bench_out).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -6,7 +6,7 @@
 //! circuits, including a sabotage test proving the suite actually
 //! fails when an estimator is wrong.
 
-use faultsim::{check_agreement, MonteCarloEstimator, ToleranceBands};
+use faultsim::{check_agreement, judge_agreement, MonteCarloEstimator, ToleranceBands};
 use minobswin::algorithm::SolverConfig;
 use minobswin::experiment::RunConfig;
 use minobswin::verify::check_feasible;
@@ -17,8 +17,10 @@ use netlist::{samples, Circuit, DelayModel};
 use retime::minarea_ref::{exhaustive_minimize, solve_exact};
 use retime::timing::clock_period;
 use retime::{ElwParams, LrLabels, RetimeGraph, Retiming, VertexId};
-use ser_engine::sim::SimConfig;
-use ser_engine::{EngineKind, SerConfig, SABOTAGE_ESTIMATE_SEED};
+use ser_engine::sim::{FrameTrace, SimConfig};
+use ser_engine::{
+    report_from_observabilities, EngineKind, EngineReport, PropProb, SerConfig, SerEstimate,
+};
 
 fn objective(graph: &RetimeGraph, b: &[i64], r: &Retiming) -> i64 {
     (1..graph.num_vertices())
@@ -295,20 +297,35 @@ fn table1_twins_three_way_agreement() {
     );
 }
 
+/// A propagation-probability estimate with a deliberate bug: every
+/// gate's propagation probability is skewed toward ½
+/// (`obs ↦ 0.5·obs + 0.25`) before the eq. (4) report is assembled.
+fn skewed_propprob_estimate(circuit: &Circuit, config: &SerConfig) -> SerEstimate {
+    let trace = FrameTrace::simulate(circuit, config.sim);
+    let skewed: Vec<f64> = PropProb::compute(circuit, &trace)
+        .as_slice()
+        .iter()
+        .map(|obs| 0.5 * obs + 0.25)
+        .collect();
+    let report =
+        report_from_observabilities(circuit, config, &skewed, EngineReport::default()).unwrap();
+    SerEstimate::from_report(EngineKind::PropProb, &report)
+}
+
 #[test]
 fn sabotaged_estimator_is_caught_by_the_agreement_suite() {
-    // Fault-hook drill for the suite itself: the magic simulation seed
-    // activates a deliberate skew inside the propagation-probability
-    // engine (obs ↦ 0.5·obs + 0.25). If the agreement oracle cannot
-    // catch that, its bands are too loose to catch a real bug.
+    // Fault drill for the suite itself: the propagation-probability
+    // estimate is replaced by a skewed one (obs ↦ 0.5·obs + 0.25). If
+    // the agreement oracle cannot catch that, its bands are too loose
+    // to catch a real bug.
     //
     // The drill circuit is a deep AND chain with a fresh input per
     // stage: logical masking decays geometrically with depth, so the
     // early gates have true observability ~2^-29 (all engines report
-    // ~0 there), while the sabotage floors every site at 0.25 —
-    // inflating the propprob SER several-fold. Exactly the kind of
-    // silent per-site corruption the oracle exists to catch. (A dead
-    // cone would not work here: unobservable gates have an empty
+    // ~0 there), while the skew floors every site at 0.25 — inflating
+    // the propprob SER several-fold. Exactly the kind of silent
+    // per-site corruption the oracle exists to catch. (A dead cone
+    // would not work here: unobservable gates have an empty
     // error-latching window, so eq. (4) zeroes them no matter how the
     // observability is skewed.)
     let circuit = {
@@ -327,10 +344,18 @@ fn sabotaged_estimator_is_caught_by_the_agreement_suite() {
         b.output(&prev).unwrap();
         b.build().unwrap()
     };
-    let mut config = agreement_config(&circuit, 256, 6);
-    config.sim.seed = SABOTAGE_ESTIMATE_SEED;
+    let config = agreement_config(&circuit, 256, 6);
     let campaign = MonteCarloEstimator::new(20_000);
-    let report = check_agreement(&circuit, &config, &campaign, ToleranceBands::default()).unwrap();
+    let control = check_agreement(&circuit, &config, &campaign, ToleranceBands::default()).unwrap();
+    let estimates = control
+        .estimates
+        .iter()
+        .map(|e| match e.engine {
+            EngineKind::PropProb => skewed_propprob_estimate(&circuit, &config),
+            _ => e.clone(),
+        })
+        .collect();
+    let report = judge_agreement(&circuit, &config, estimates, ToleranceBands::default());
     assert!(
         !report.agrees(),
         "sabotaged propprob engine slipped past the oracle\n{}",
@@ -355,17 +380,8 @@ fn sabotaged_estimator_is_caught_by_the_agreement_suite() {
         "healthy pairs should stay in agreement\n{}",
         report.summary()
     );
-    // Control: with the sabotage seed removed, the same circuit passes
-    // — the divergence above is caused by the injected bug, nothing
-    // else.
-    let control_config = agreement_config(&circuit, 256, 6);
-    let control = check_agreement(
-        &circuit,
-        &control_config,
-        &campaign,
-        ToleranceBands::default(),
-    )
-    .unwrap();
+    // Control: the unskewed estimates of the same circuit agree — the
+    // divergence above is caused by the injected bug, nothing else.
     assert!(
         control.agrees(),
         "control run without sabotage must agree\n{}",

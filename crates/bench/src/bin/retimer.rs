@@ -1141,7 +1141,8 @@ fn run_bench_solve() -> Result<u8, CliError> {
             || record.fresh.stats.degradation.budget_stop.is_some();
         println!(
             "{:<16} |V| {:>5} |E| {:>5}  closure warm {:>8.0} arcs/call, \
-             fresh {:>9.0} ({:>5.1}x), {:.3}s vs {:.3}s",
+             fresh {:>9.0} ({:>5.1}x), {:.3}s vs {:.3}s; \
+             init Phi {} R_min {} setup+hold {} in {:.3}s",
             record.name,
             record.vertices,
             record.edges,
@@ -1150,6 +1151,10 @@ fn run_bench_solve() -> Result<u8, CliError> {
             record.closure_arc_ratio(),
             record.warm.solve_seconds,
             record.fresh.solve_seconds,
+            record.init.phi,
+            record.init.r_min,
+            record.init.used_setup_hold,
+            record.init.seconds,
         );
         if options.profile {
             print!("{}", solver_bench::profile_table(&record));

@@ -26,18 +26,41 @@ pub struct BenchInstance {
     pub problem: Problem,
     /// The §V starting retiming.
     pub initial: Retiming,
+    /// The §V initialization that produced it.
+    pub init: InitRun,
 }
 
-/// Builds an instance from a circuit: §V initialization plus synthetic
-/// observability counts (the solver only sees the `b` coefficients, so
-/// no simulation is needed for a solver benchmark).
+/// One timed §V initialization (`InitConfig::initialize`): its answers,
+/// which CI requires to stay unchanged, and its wall time.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct InitRun {
+    /// The relaxed clock period `Φ`.
+    pub phi: i64,
+    /// The ELW lower bound `R_min`.
+    pub r_min: i64,
+    /// Whether the setup+hold retiming succeeded (`false`: fallback).
+    pub used_setup_hold: bool,
+    /// Wall-clock seconds of the initialization.
+    pub seconds: f64,
+}
+
+/// Builds an instance from a circuit: a timed §V initialization plus
+/// synthetic observability counts (the solver only sees the `b`
+/// coefficients, so no simulation is needed for a solver benchmark).
 ///
 /// # Errors
 ///
 /// Propagates graph-construction and initialization failures.
 pub fn prepare(name: &str, circuit: &Circuit) -> Result<BenchInstance, SolveError> {
     let graph = RetimeGraph::from_circuit(circuit, &DelayModel::default())?;
+    let t0 = Instant::now();
     let init = InitConfig::default().initialize(&graph)?;
+    let init_run = InitRun {
+        phi: init.phi,
+        r_min: init.r_min,
+        used_setup_hold: init.used_setup_hold,
+        seconds: t0.elapsed().as_secs_f64(),
+    };
     let params = ElwParams::with_phi(init.phi);
     let mut rng = Xoshiro256::seed_from_u64(7);
     let counts: Vec<i64> = (0..graph.num_vertices())
@@ -55,6 +78,7 @@ pub fn prepare(name: &str, circuit: &Circuit) -> Result<BenchInstance, SolveErro
         graph,
         problem,
         initial: init.retiming,
+        init: init_run,
     })
 }
 
@@ -117,6 +141,8 @@ pub struct BenchRecord {
     pub vertices: usize,
     /// Retiming-graph edges.
     pub edges: usize,
+    /// The §V initialization both runs start from.
+    pub init: InitRun,
     /// The run with the warm-started closure engine (the default
     /// configuration).
     pub warm: EngineRun,
@@ -218,6 +244,7 @@ pub fn measure_with_budget(
         name: instance.name.clone(),
         vertices: instance.graph.num_vertices(),
         edges: instance.graph.num_edges(),
+        init: instance.init,
         warm,
         fresh,
         degraded,
@@ -348,7 +375,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
 /// (hand-rolled: the workspace deliberately has no serde dependency).
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 4,\n");
+    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 5,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
@@ -356,6 +383,12 @@ pub fn to_json(records: &[BenchRecord]) -> String {
             "    {{\n      \"name\": \"{}\",\n      \"vertices\": {},\n      \"edges\": {},\n      \
              \"degraded\": {},\n",
             r.name, r.vertices, r.edges, r.degraded
+        );
+        let _ = write!(
+            out,
+            "      \"init\": {{\n        \"phi\": {},\n        \"r_min\": {},\n        \
+             \"used_setup_hold\": {},\n        \"init_seconds\": {:.6}\n      }},\n",
+            r.init.phi, r.init.r_min, r.init.used_setup_hold, r.init.seconds
         );
         push_engine(&mut out, "      ", "warm", &r.warm);
         out.push_str(",\n");
@@ -385,7 +418,13 @@ mod tests {
         assert!(json.contains("\"closure_arc_ratio\""));
         assert!(json.contains("\"closure_warm_nanos\""));
         assert!(json.contains("\"degraded\": false"));
+        assert!(json.contains("\"init\": {") && json.contains("\"init_seconds\""));
         for r in &records {
+            assert!(
+                r.init.phi > 0 && r.init.r_min >= 1,
+                "{}: §V answers",
+                r.name
+            );
             assert!(!r.degraded, "{}: unlimited budget cannot degrade", r.name);
             assert_eq!(r.warm.stats.commits, r.fresh.stats.commits);
             assert_eq!(
@@ -448,6 +487,7 @@ mod tests {
             name: "empty".to_string(),
             vertices: 0,
             edges: 0,
+            init: InitRun::default(),
             warm: zero_run(),
             fresh: zero_run(),
             degraded: false,
@@ -472,6 +512,7 @@ mod tests {
             name: "probe".to_string(),
             vertices: 10,
             edges: 20,
+            init: InitRun::default(),
             warm: EngineRun {
                 solve_seconds: 1.0,
                 objective_gain: 5,

@@ -158,14 +158,17 @@ fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, Solve
             t0.elapsed().as_secs_f64()
         );
     }
-    let phi = relax(mp.phi);
+    // `min_period` bounds the bare path delay; the period also has to
+    // fit the setup time, as `Φ_sh` above already does.
+    let phi_min = mp.phi + config.t_setup;
+    let phi = relax(phi_min);
     let retiming = minperiod::feasible_retiming(graph, phi - config.t_setup).unwrap_or(mp.retiming);
     Ok(InitResult {
         phi,
         r_min: min_gate_delay(graph),
         retiming,
         used_setup_hold: false,
-        phi_min: mp.phi,
+        phi_min,
     })
 }
 
@@ -227,6 +230,29 @@ mod tests {
             .unwrap();
         assert!(!init.used_setup_hold);
         assert_eq!(init.r_min, 1, "minimum unit gate delay");
+    }
+
+    #[test]
+    fn fallback_respects_setup_time() {
+        // The impossible hold time forces the fallback; its starting
+        // retiming must meet setup at the returned period.
+        let c = samples::pipeline(4, 4);
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        let init = InitConfig::default()
+            .with_hold_time(100)
+            .with_setup_time(3)
+            .initialize(&g)
+            .unwrap();
+        assert!(!init.used_setup_hold);
+        assert_eq!(init.phi_min, 4 + 3, "min period 4 plus T_s");
+        let params = ElwParams {
+            phi: init.phi,
+            t_setup: 3,
+            t_hold: 100,
+        };
+        let counts = vec![1i64; g.num_vertices()];
+        let p = Problem::from_observability_counts(&g, &counts, params, init.r_min);
+        assert_eq!(check_feasible(&g, &p, &init.retiming), Ok(()));
     }
 
     #[test]

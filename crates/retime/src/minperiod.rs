@@ -8,6 +8,7 @@ use crate::error::RetimeError;
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::timing::{
     clock_period, is_combinational_edge, zero_weight_topo, ArrivalScratch, ArrivalTimes,
+    FeasWitness,
 };
 
 /// Runs the FEAS relaxation: starting from `r = 0`, repeatedly
@@ -16,14 +17,31 @@ use crate::timing::{
 /// `None` if FEAS fails to converge (for `phi` below the true minimum,
 /// or — rarely — for feasible `phi` that require register moves FEAS's
 /// increment-only schedule cannot reach; see DESIGN.md).
+///
+/// A run stops early, with `None`, once a verified negative cycle of
+/// critical segments proves `phi` infeasible (DESIGN.md §13.2); the
+/// answer is the same as after all `|V|` rounds.
 pub fn feasible_retiming(graph: &RetimeGraph, phi: i64) -> Option<Retiming> {
+    feasible_retiming_with::<true>(graph, phi)
+}
+
+/// [`feasible_retiming`], with the witness compiled out when `WITNESS`
+/// is `false` (the test oracle).
+pub(crate) fn feasible_retiming_with<const WITNESS: bool>(
+    graph: &RetimeGraph,
+    phi: i64,
+) -> Option<Retiming> {
     let mut r = Retiming::zero(graph);
     let n = graph.num_vertices();
     let mut scratch = ArrivalScratch::new();
+    let mut witness = FeasWitness::new();
     for _ in 0..n {
         let period = scratch.compute(graph, &r)?;
         if period <= phi {
             break;
+        }
+        if WITNESS && witness.record(graph, &scratch, phi) {
+            return None;
         }
         for v in graph.vertices() {
             if scratch.arrival(v) > phi {

@@ -20,7 +20,7 @@
 
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::labels::{ElwParams, LrLabels};
-use crate::timing::{zero_weight_topo, ArrivalScratch, ArrivalTimes};
+use crate::timing::{zero_weight_topo, ArrivalScratch, ArrivalTimes, FeasWitness};
 
 /// Result of [`min_period_setup_hold`].
 #[derive(Debug, Clone, PartialEq)]
@@ -40,7 +40,7 @@ pub fn feasible_setup_hold(
     t_setup: i64,
     t_hold: i64,
 ) -> Option<Retiming> {
-    feasible_setup_hold_capped(graph, phi, t_setup, t_hold, graph.num_vertices() + 2)
+    feasible_setup_hold_capped::<true>(graph, phi, t_setup, t_hold, graph.num_vertices() + 2)
 }
 
 /// [`feasible_setup_hold`] with an explicit cap on *consecutive* setup
@@ -51,7 +51,13 @@ pub fn feasible_setup_hold(
 /// then cost tens of iterations instead of `|V|` — and re-confirms the
 /// final floor at the full Bellman–Ford bound, so the minimized period
 /// is provably the same as an all-full-cap search.
-fn feasible_setup_hold_capped(
+///
+/// Each run of consecutive setup steps also feeds a [`FeasWitness`]; a
+/// verified witness proves that no retiming meets setup at `phi`, hold
+/// repairs or not, so the probe returns `None` at once — the answer it
+/// would reach at the cap. `WITNESS = false` compiles the witness out
+/// (the test oracle).
+pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
     graph: &RetimeGraph,
     phi: i64,
     t_setup: i64,
@@ -88,6 +94,7 @@ fn feasible_setup_hold_capped(
     // gates.
     let mut consecutive_feas = 0usize;
     let mut scratch = ArrivalScratch::new();
+    let mut witness = FeasWitness::new();
     for _ in 0..budget {
         let period = scratch.compute(graph, &r)?;
         if period > phi - t_setup {
@@ -96,6 +103,10 @@ fn feasible_setup_hold_capped(
             consecutive_feas += 1;
             if consecutive_feas > feas_cap {
                 report("feas-cap", feas_steps, hold_repairs);
+                return None;
+            }
+            if WITNESS && witness.record(graph, &scratch, phi - t_setup) {
+                report("witness", feas_steps, hold_repairs);
                 return None;
             }
             let mut moved = false;
@@ -116,6 +127,7 @@ fn feasible_setup_hold_capped(
         match find_hold_violation(graph, &r, &labels, t_hold) {
             Some((tail, head)) => {
                 hold_repairs += 1;
+                witness.reset(graph);
                 // Two symmetric repairs: push the launching register
                 // backward over the tail (lengthens the path at its
                 // start), or push the terminating register forward
@@ -287,6 +299,9 @@ pub fn meets_setup_hold(
 /// turned out to be truncating a genuinely feasible probe, the search
 /// resumes below it. The result is therefore identical to an
 /// all-full-cap search, at a fraction of the cost on 10k+-gate graphs.
+/// In both tiers a probe also stops as soon as a verified negative
+/// cycle of critical segments proves its period infeasible (DESIGN.md
+/// §13.2), which cannot change its answer.
 pub fn min_period_setup_hold(
     graph: &RetimeGraph,
     t_setup: i64,
@@ -311,7 +326,7 @@ pub fn min_period_setup_hold(
         let mut hi = best.phi;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match feasible_setup_hold_capped(graph, mid, t_setup, t_hold, quick_cap) {
+            match feasible_setup_hold_capped::<true>(graph, mid, t_setup, t_hold, quick_cap) {
                 Some(r) => {
                     best = SetupHoldResult {
                         phi: mid,

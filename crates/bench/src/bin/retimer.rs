@@ -1,139 +1,61 @@
 //! `retimer` — the end-user command line tool: read a gate-level
 //! netlist, analyze its SER, retime it for soft error minimization
 //! (MinObsWin, or the MinObs baseline), verify equivalence, and write
-//! the retimed netlist plus a machine-readable report.
+//! the retimed netlist plus a machine-readable report. [`USAGE`] is the
+//! synopsis `--help` prints.
 //!
-//! ```text
-//! retimer [solve] INPUT[.bench|.blif|.v] [options]
+//! - `solve` (the default): §V init, both optimizers, a bounded
+//!   equivalence check, then `--out` (format from the extension) and a
+//!   `--report` CSV row. `--r-min` overrides the §V bound (an
+//!   over-tight one exits 1); `--checkpoint PATH` saves solver state to
+//!   `PATH.<method>.ckpt` and `--resume` continues from it.
+//! - `fault-sim`: a Monte-Carlo SEU campaign cross-validating the
+//!   analytic SER model before and after retiming (crates/faultsim).
+//! - `estimate`: the SER from one engine, or from every engine under
+//!   the three-way agreement oracle (`--engine all`, the default;
+//!   engines diverging past their band exit 1). `exact` over
+//!   `--max-source-bits` (registers + inputs × frames, default 20)
+//!   exits 2; `all` skips it.
+//! - `harden`: the selective-hardening advisor; it ranks cells by SER
+//!   payoff per unit of hardened area, spends the area budget, and
+//!   validates the plan with a same-seed campaign (`--no-validate`
+//!   skips it). `estimate` and `harden` read one flag set.
+//! - `bench-solve` / `bench-ser`: the solver and SER data-plane
+//!   benchmarks, written as JSON (`BENCH_solver.json`, `BENCH_ser.json`).
+//!   `--max-memory` over budget is a degraded exit 4, never an abort.
+//! - `serve`: the daemon (crates/serve, DESIGN.md §12); `--fsck` runs
+//!   one cache-integrity pass and exits.
 //!
-//!   --method minobs|minobswin|both   optimizer (default: both)
-//!   --out FILE                       write the (MinObsWin) retimed netlist
-//!                                    (format from the extension)
-//!   --report FILE.csv                append a CSV result row
-//!   --vectors K  --frames N          simulation size (default 1024 / 15)
-//!   --seed S                         stimulus seed
-//!   --threads T                      accepted for scripts; no effect on
-//!                                    solve (see "Thread counts")
-//!   --r-min R                        override the §V-derived R_min bound
-//!                                    (an over-tight bound exits 1: infeasible)
-//!   --no-equiv                       skip the bounded equivalence check
-//!   --time-budget SECS               wall-clock budget; on expiry the best
-//!                                    feasible retiming so far is emitted and
-//!                                    the tool exits 4
-//!   --max-iters N                    iteration budget (same degraded-exit
-//!                                    semantics)
-//!   --checkpoint PATH                periodically save solver state to
-//!                                    PATH.<method>.ckpt
-//!   --resume                         continue from the checkpoint files if
-//!                                    they exist
+//! # Values and their rules
 //!
-//! retimer fault-sim INPUT[.bench|.blif|.v] [options]
+//! Every value is parsed and range-checked once, by `bench_harness::args`
+//! or the one subcommand that reads it; a flag given twice takes its
+//! last value. Anything else exits 2 with the flag named, never a panic.
+//! The `table1` binary reads `--vectors`/`--frames` the same way.
 //!
-//!   Monte-Carlo SEU campaign cross-validating the analytic SER model,
-//!   before and after retiming (see crates/faultsim).
-//!
-//!   --injections N                   strikes per campaign (default 100000)
-//!   --method minobs|minobswin        retiming to score (default minobswin)
-//!   --campaign-seed S                injection sampling seed
-//!   --pulse-width F                  transient width in delay units
-//!   --tolerance F                    relative CI widening (default 0.05)
-//!   --vectors K  --frames N  --seed S  --threads T   as above (T sizes
-//!                                    the campaign's worker pool)
-//!
-//! retimer estimate INPUT[.bench|.blif|.v] [options]
-//!
-//!   Estimates the circuit's SER with one engine, or (default) with
-//!   every engine at once, cross-checked by the three-way agreement
-//!   oracle (see crates/faultsim). Engines diverging past their
-//!   tolerance band exit 1 with a per-site divergence report.
-//!
-//!   --engine analytic|montecarlo|propprob|exact|all   (default: all)
-//!   --injections N                   Monte-Carlo campaign size
-//!                                    (default 100000)
-//!   --campaign-seed S                injection sampling seed
-//!   --tolerance F                    uniform relative tolerance band
-//!                                    (default: per-pair-class bands)
-//!   --max-source-bits B              exhaustive-oracle cap on
-//!                                    registers + inputs x frames
-//!                                    (default 20; over it, `exact`
-//!                                    exits 2 and `all` skips it)
-//!   --phi P                          clock period override (default:
-//!                                    setup/hold initialization)
-//!   --vectors K  --frames N  --seed S  --threads T   as above
-//!
-//! retimer harden INPUT[.bench|.blif|.v] [options]
-//!
-//!   Selective-hardening advisor: ranks cells by SER payoff per unit
-//!   of hardened area (cross-scored by the Monte-Carlo campaign and
-//!   the propagation-probability engine), greedily spends the area
-//!   budget, and validates the plan with a same-seed campaign under
-//!   the hardened rate model.
-//!
-//!   --area-budget F                  fraction of total cell area to
-//!                                    spend (default 0.1)
-//!   --hardening-factor F             residual rate of a hardened cell
-//!                                    (default 0.1)
-//!   --area-overhead F                hardening cost as a multiple of
-//!                                    the cell's area (default 1.0)
-//!   --max-picks N                    cap on hardened cells (default:
-//!                                    unlimited)
-//!   --plan FILE.csv                  write the ranked plan as CSV
-//!   --no-validate                    skip the validation campaign
-//!   --injections N  --campaign-seed S  --phi P
-//!   --vectors K  --frames N  --seed S  --threads T   as above
-//!
-//! retimer bench-solve [options]
-//!
-//!   Benchmarks the solver's warm-started closure engine against
-//!   fresh Dinic builds over sample and generated circuits, writing
-//!   per-run counters as JSON.
-//!
-//!   --out FILE                       output path (default BENCH_solver.json)
-//!   --gates N,N,...                  generated circuit sizes (default 300,1000)
-//!   --tier small|large|xlarge        named size tier: small keeps the default
-//!                                    list, large = 10k gates (the CI-gated
-//!                                    `generated_10k` workload), xlarge = 50k
-//!   --samples-only                   skip the generated circuits
-//!   --time-budget SECS               wall-clock budget per solver run
-//!   --max-iters N                    iteration budget per solver run
-//!   --max-memory BYTES               memory-estimate budget per solver run
-//!                                    (over it: degraded exit 4, never an
-//!                                    abort)
-//!
-//! retimer serve [options]
-//!
-//!   Runs as a daemon: newline-delimited JSON requests on stdin (or a
-//!   unix socket), concurrent solves, per-job progress events, and a
-//!   content-addressed result cache. Closing stdin (or `{"op":"drain"}`)
-//!   drains gracefully. See crates/serve and DESIGN.md §12.
-//!
-//!   --cache DIR                      cache + recovery directory
-//!                                    (default .retimer-cache)
-//!   --threads T                      concurrent solve workers (see
-//!                                    "Thread counts")
-//!   --queue N                        admission bound on waiting jobs
-//!                                    (default 64; over it: backpressure)
-//!   --time-budget SECS               default per-job wall-clock budget
-//!   --max-iters N                    default per-job iteration budget
-//!   --cache-max-bytes SIZE           LRU-evict cache stages past SIZE
-//!                                    (plain bytes or k/m/g suffix)
-//!   --fsck                           run one cache-integrity pass (remove
-//!                                    tmp orphans, quarantine corrupt
-//!                                    entries), print a report, exit
-//!   --socket PATH                    listen on a unix socket instead of stdin
-//!
-//! retimer bench-ser [options]
-//!
-//!   Benchmarks the SER simulation data plane: the legacy per-signature
-//!   scalar engine vs. the flat arena engine, over sample and generated
-//!   circuits, writing timings and allocation counts as JSON.
-//!
-//!   --out FILE                       output path (default BENCH_ser.json)
-//!   --gates N,N,...                  generated circuit sizes (default 400,1500)
-//!   --tier small|large|xlarge        named size tier, as for bench-solve
-//!   --samples-only                   skip the generated circuits
-//!   --vectors K  --frames N          simulation size (default 1024 / 15)
-//! ```
+//! | value | rule | read by (serve job key) |
+//! |---|---|---|
+//! | `--vectors K` | a positive multiple of 64 (`SimConfig::validate`) | solve, fault-sim, estimate, harden, bench-ser, table1 (`vectors`) |
+//! | `--frames N` | positive (`SimConfig::validate`) | as `--vectors` (`frames`) |
+//! | `--seed S` | any `u64` | solve, fault-sim, estimate, harden (`seed`) |
+//! | `--threads T` | any `usize`, see below | solve, fault-sim, estimate, harden, serve |
+//! | `--time-budget SECS` | finite, ≥ 0, fits a `Duration` (`minobswin::budget_seconds`) | solve, bench-solve, serve (`time_budget`) |
+//! | `--max-iters N` | any `usize` | solve, bench-solve, serve (`max_iters`) |
+//! | `--r-min R` | any `i64` | solve (`r_min`) |
+//! | `--method` | `both`, `minobs`, `minobswin` (fault-sim: no `both`) | solve, fault-sim (`method`) |
+//! | `--injections N` | positive | fault-sim, estimate, harden |
+//! | `--campaign-seed S` | any `u64` | fault-sim, estimate, harden |
+//! | `--tolerance F` | finite, ≥ 0 | fault-sim, estimate, harden |
+//! | `--pulse-width F` | finite, ≥ 0 | fault-sim |
+//! | `--phi P` | 1 ..= `i64::MAX / 4`, so `Φ + T_h` cannot overflow | estimate, harden |
+//! | `--area-budget F`, `--hardening-factor F` | in [0, 1] | estimate, harden |
+//! | `--area-overhead F` | finite, > 0 | estimate, harden |
+//! | `--max-source-bits B`, `--max-picks N` | any `u32` / `usize` (0 picks = unlimited) | estimate, harden |
+//! | `--max-memory BYTES` | any `usize` | bench-solve |
+//! | `--gates N,…`, `--tier` | gate counts; `small`, `large`/`10k`, `xlarge`/`50k` | bench-solve, bench-ser |
+//! | `--queue N` | positive | serve |
+//! | `--cache-max-bytes SIZE` | positive, bytes or a `k`/`m`/`g` suffix | serve |
+//! | `--scale N`, `--giant-extra N` | positive, product fits `usize` | table1 |
 //!
 //! # Thread counts
 //!
@@ -148,9 +70,6 @@
 //! `netlist::parallel::resolve_workers`. `solve` accepts `--threads`
 //! so scripts keep working, but it has no effect there.
 //!
-//! `--vectors` must be a positive multiple of 64 and `--frames` must
-//! be positive (`SimConfig::validate`); anything else exits 2.
-//!
 //! # Exit codes
 //!
 //! Exit codes are stable: 0 = success, 1 = infeasible instance,
@@ -158,17 +77,17 @@
 //! 4 = a solve budget expired and a degraded (but feasible) result was
 //! emitted.
 
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
+use bench_harness::args::{any, non_negative, positive, Args, Read};
 use faultsim::{
-    advise, check_agreement, run_campaign, CampaignConfig, CrossCheck, HardenConfig,
-    MonteCarloEstimator, ToleranceBands, DEFAULT_TOLERANCE,
+    advise, check_agreement, run_campaign, CrossCheck, HardenConfig, MonteCarloEstimator,
+    ToleranceBands, DEFAULT_TOLERANCE,
 };
 use minobswin::experiment::{Experiment, MethodResult, RunConfig};
-use minobswin::{SolveBudget, SolveError};
-use netlist::{bench_format, blif, verilog, Circuit, DelayModel, NetlistError, ParseLimits};
-use retime::apply::apply_retiming;
+use minobswin::SolveError;
+use netlist::{bench_format, blif, verilog, Circuit, NetlistError, ParseLimits};
 use retime::{ElwParams, RetimeGraph};
 use ser_engine::equiv::{check_equivalence, EquivConfig};
 use ser_engine::sim::SimConfig;
@@ -176,6 +95,24 @@ use ser_engine::{
     analyze, AnalyticEstimator, EngineKind, EstimateError, ExactEstimator, PropProbEstimator,
     SerConfig, SerEstimate, SerEstimator, DEFAULT_MAX_SOURCE_BITS,
 };
+
+/// The synopsis `--help` prints for every subcommand.
+const USAGE: &str = "\
+usage: retimer [solve] INPUT [--method both|minobs|minobswin] [--out FILE] [--report FILE.csv]
+         [--r-min R] [--no-equiv] [--checkpoint PATH] [--resume] [SIM] [BUDGET]
+       retimer fault-sim INPUT [--method minobswin|minobs] [--pulse-width F] [--tolerance F]
+         [CAMPAIGN] [SIM]
+       retimer estimate|harden INPUT [--engine analytic|montecarlo|propprob|exact|all]
+         [--tolerance F] [--max-source-bits B] [--phi P] [--area-budget F] [--hardening-factor F]
+         [--area-overhead F] [--max-picks N] [--plan FILE.csv] [--no-validate] [CAMPAIGN] [SIM]
+       retimer bench-solve [BENCH] [--fail-on-degraded] [--max-memory BYTES] [BUDGET]
+       retimer bench-ser [BENCH] [--vectors K] [--frames N]
+       retimer serve [--cache DIR] [--threads T] [--queue N] [--cache-max-bytes SIZE]
+         [--socket PATH] [--fsck] [BUDGET]
+  SIM       --vectors K --frames N --seed S --threads T
+  BUDGET    --time-budget SECS --max-iters N
+  CAMPAIGN  --injections N --campaign-seed S
+  BENCH     --out FILE --gates N,N,... --tier small|large|xlarge --samples-only --profile";
 
 /// A command-line failure: a usage error or a wrapped pipeline error,
 /// mapped onto the stable exit codes documented above.
@@ -246,16 +183,24 @@ impl From<EstimateError> for CliError {
 const EXIT_DEGRADED: u8 = 4;
 
 fn main() -> ExitCode {
-    let subcommand = std::env::args().nth(1);
-    let result = match subcommand.as_deref() {
-        Some("estimate") => run_estimate(),
-        Some("harden") => run_harden(),
-        Some("fault-sim") => run_fault_sim(),
-        Some("bench-solve") => run_bench_solve(),
-        Some("bench-ser") => run_bench_ser(),
-        Some("serve") => run_serve(),
-        Some("solve") => run(true),
-        _ => run(false),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (subcommand, rest) = match argv.first().map(String::as_str) {
+        Some(
+            name @ ("solve" | "fault-sim" | "estimate" | "harden" | "bench-solve" | "bench-ser"
+            | "serve"),
+        ) => (name, &argv[1..]),
+        _ => ("solve", &argv[..]),
+    };
+    let mut args = Args::new(rest.iter().cloned());
+    args.help(USAGE);
+    let result = match subcommand {
+        "fault-sim" => run_fault_sim(args),
+        "estimate" => run_estimate(args),
+        "harden" => run_harden(args),
+        "bench-solve" => run_bench_solve(args),
+        "bench-ser" => run_bench_ser(args),
+        "serve" => run_serve(args),
+        _ => run(args),
     };
     match result {
         Ok(code) => ExitCode::from(code),
@@ -266,132 +211,37 @@ fn main() -> ExitCode {
     }
 }
 
-struct Options {
-    input: String,
-    method: String,
-    out: Option<String>,
-    report: Option<String>,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
-    r_min: Option<i64>,
-    equiv: bool,
-    time_budget: Option<f64>,
-    max_iters: Option<usize>,
-    checkpoint: Option<String>,
-    resume: bool,
+/// The simulation every analysis subcommand runs unless its flags say
+/// otherwise: 1024 vectors over 15 frames after a 16-cycle warm-up.
+fn default_sim() -> SimConfig {
+    SimConfig {
+        num_vectors: 1024,
+        ..SimConfig::default()
+    }
 }
 
-fn parse_args(skip_subcommand: bool) -> Result<Options, String> {
-    let mut args = std::env::args().skip(if skip_subcommand { 2 } else { 1 });
-    let mut options = Options {
-        input: String::new(),
-        method: "both".into(),
-        out: None,
-        report: None,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
-        r_min: None,
-        equiv: true,
-        time_budget: None,
-        max_iters: None,
-        checkpoint: None,
-        resume: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--method" => options.method = args.next().ok_or("--method needs a value")?,
-            "--out" => options.out = Some(args.next().ok_or("--out needs a path")?),
-            "--report" => options.report = Some(args.next().ok_or("--report needs a path")?),
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--r-min" => {
-                options.r_min = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--r-min needs an integer")?,
-                )
-            }
-            "--no-equiv" => options.equiv = false,
-            "--time-budget" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--time-budget needs a number of seconds")?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--time-budget needs a non-negative number".into());
-                }
-                options.time_budget = Some(secs);
-            }
-            "--max-iters" => {
-                options.max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a non-negative integer")?,
-                )
-            }
-            "--checkpoint" => {
-                options.checkpoint = Some(args.next().ok_or("--checkpoint needs a path")?)
-            }
-            "--resume" => options.resume = true,
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer [solve] INPUT[.bench|.blif|.v] \
-                     [--method minobs|minobswin|both] \
-                     [--out FILE] [--report FILE.csv] [--vectors K] [--frames N] \
-                     [--seed S] [--threads T] [--r-min R] [--no-equiv] \
-                     [--time-budget SECS] [--max-iters N] [--checkpoint PATH] [--resume]"
-                );
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if options.input.is_empty() {
-        return Err("missing input netlist (try --help)".into());
-    }
-    if !matches!(options.method.as_str(), "minobs" | "minobswin" | "both") {
-        return Err(format!("unknown method `{}`", options.method));
-    }
-    if options.resume && options.checkpoint.is_none() {
-        return Err("--resume requires --checkpoint PATH".into());
-    }
-    Ok(options)
+/// `--method NAME`, one of `names`; the first is the default.
+fn read_method(args: &mut Args, names: &[&'static str]) -> Result<&'static str, String> {
+    let what = format!("one of {}", names.join(", "));
+    let method = args.value_with(&["--method"], &what, |s| {
+        names.iter().copied().find(|&n| n == s)
+    })?;
+    Ok(method.unwrap_or(names[0]))
+}
+
+/// `--tolerance F`: a relative band, finite and at least 0 (what
+/// `CrossCheck::compare` and `ToleranceBands::uniform` assert).
+fn read_tolerance(args: &mut Args) -> Read<f64> {
+    args.value("--tolerance", "a finite number >= 0", non_negative)
 }
 
 /// Reads the input netlist through the unified, streaming front door
 /// (`netlist::read_path`): format sniffed from the extension, default
 /// parse limits.
 fn read_netlist(path: &str) -> Result<Circuit, NetlistError> {
-    netlist::read_path(path, &ParseLimits::default())
+    let circuit = netlist::read_path(path, &ParseLimits::default())?;
+    eprintln!("read {circuit}");
+    Ok(circuit)
 }
 
 fn write_netlist(circuit: &Circuit, path: &str) -> Result<(), NetlistError> {
@@ -407,46 +257,23 @@ fn write_netlist(circuit: &Circuit, path: &str) -> Result<(), NetlistError> {
     }
 }
 
-/// The simulation every analysis subcommand runs (a 16-cycle warm-up
-/// before the recorded frames), rejected with exit 2 if
-/// [`SimConfig::validate`] fails.
-fn sim_config(
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
-) -> Result<SimConfig, String> {
-    let sim = SimConfig {
-        num_vectors: vectors,
-        frames,
-        warmup: 16,
-        seed,
-        threads,
-    };
-    sim.validate()?;
-    Ok(sim)
-}
-
-fn run(skip_subcommand: bool) -> Result<u8, CliError> {
-    let options = parse_args(skip_subcommand)?;
-    let sim = sim_config(
-        options.vectors,
-        options.frames,
-        options.seed,
-        options.threads,
-    )?;
-    let circuit = read_netlist(&options.input)?;
-    eprintln!("read {circuit}");
-
-    let budget = SolveBudget::new()
-        .with_wall_time(options.time_budget.map(std::time::Duration::from_secs_f64))
-        .with_max_iterations(options.max_iters);
+fn run(mut args: Args) -> Result<u8, CliError> {
+    let method = read_method(&mut args, &["both", "minobs", "minobswin"])?;
+    let out = args.string("--out")?;
+    let report = args.string("--report")?;
+    let equiv = !args.switch("--no-equiv");
+    let checkpoint = args.string("--checkpoint")?;
+    let resume = args.switch("--resume");
+    if resume && checkpoint.is_none() {
+        return Err(String::from("--resume requires --checkpoint PATH").into());
+    }
     let config = RunConfig::default()
-        .with_sim(sim)
-        .with_r_min_override(options.r_min)
-        .with_budget(budget)
-        .with_checkpoint(options.checkpoint.as_ref().map(std::path::PathBuf::from))
-        .with_resume(options.resume);
+        .with_sim(args.sim(default_sim())?)
+        .with_r_min_override(args.value("--r-min", "an integer", any)?)
+        .with_budget(args.budget()?)
+        .with_checkpoint(checkpoint.map(PathBuf::from))
+        .with_resume(resume);
+    let circuit = read_netlist(&args.input()?)?;
     let run = Experiment::new(&circuit).config(config).run()?;
 
     println!(
@@ -471,27 +298,23 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
             m.stats.commits
         );
     };
-    if options.method != "minobswin" {
+    if method != "minobswin" {
         show("minobs   ", &run.minobs);
     }
-    if options.method != "minobs" {
+    if method != "minobs" {
         show("minobswin", &run.minobswin);
     }
-    if options.method == "both" {
+    if method == "both" {
         println!("SER_ref / SER_new = {:.0}%", run.ser_ratio() * 100.0);
     }
 
-    let chosen = if options.method == "minobs" {
+    let chosen = if method == "minobs" {
         &run.minobs
     } else {
         &run.minobswin
     };
-    let delays = DelayModel::default();
-    let graph = RetimeGraph::from_circuit(&circuit, &delays)?;
-    let rebuilt = apply_retiming(&circuit, &graph, &chosen.retiming)?;
-
-    if options.equiv {
-        let verdict = check_equivalence(&circuit, &rebuilt, EquivConfig::default());
+    if equiv {
+        let verdict = check_equivalence(&circuit, &chosen.netlist, EquivConfig::default());
         if verdict.is_equivalent() {
             println!("equivalence: OK (bounded random check)");
         } else {
@@ -502,11 +325,11 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
         }
     }
 
-    if let Some(out) = &options.out {
-        write_netlist(&rebuilt, out)?;
+    if let Some(out) = &out {
+        write_netlist(&chosen.netlist, out)?;
         println!("wrote {out}");
     }
-    if let Some(report) = &options.report {
+    if let Some(report) = &report {
         append_csv(report, &run)?;
         println!("appended {report}");
     }
@@ -514,7 +337,7 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     // Report any degradation (tripped engine breakers, budget stops)
     // on the methods the user asked for; a budget stop exits 4.
     let mut degraded = false;
-    let reported: &[(&str, &MethodResult)] = match options.method.as_str() {
+    let reported: &[(&str, &MethodResult)] = match method {
         "minobs" => &[("minobs", &run.minobs)],
         "minobswin" => &[("minobswin", &run.minobswin)],
         _ => &[("minobs", &run.minobs), ("minobswin", &run.minobswin)],
@@ -533,121 +356,18 @@ fn run(skip_subcommand: bool) -> Result<u8, CliError> {
     Ok(0)
 }
 
-struct FaultSimOptions {
-    input: String,
-    injections: u64,
-    method: String,
-    campaign_seed: u64,
-    pulse_width: f64,
-    tolerance: f64,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
-}
-
-fn parse_fault_sim_args() -> Result<FaultSimOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "fault-sim"
-    let mut options = FaultSimOptions {
-        input: String::new(),
-        injections: 100_000,
-        method: "minobswin".into(),
-        campaign_seed: 0x5EED_FA17,
-        pulse_width: 0.0,
-        tolerance: DEFAULT_TOLERANCE,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--injections" => {
-                options.injections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--injections needs a positive integer")?
-            }
-            "--method" => options.method = args.next().ok_or("--method needs a value")?,
-            "--campaign-seed" => {
-                options.campaign_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--campaign-seed needs an integer")?
-            }
-            "--pulse-width" => {
-                options.pulse_width = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--pulse-width needs a number")?
-            }
-            "--tolerance" => {
-                options.tolerance = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs a number")?
-            }
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer fault-sim INPUT[.bench|.blif|.v] [--injections N] \
-                     [--method minobs|minobswin] [--campaign-seed S] \
-                     [--pulse-width F] [--tolerance F] [--vectors K] [--frames N] \
-                     [--seed S] [--threads T]"
-                );
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if options.input.is_empty() {
-        return Err("missing input netlist (try `retimer fault-sim --help`)".into());
-    }
-    if !matches!(options.method.as_str(), "minobs" | "minobswin") {
-        return Err(format!("unknown method `{}`", options.method));
-    }
-    Ok(options)
-}
-
 /// Scores a circuit with a Monte-Carlo injection campaign before and
 /// after retiming, cross-checking each campaign against the analytic
 /// model.
-fn run_fault_sim() -> Result<u8, CliError> {
-    let options = parse_fault_sim_args()?;
-    let sim = sim_config(
-        options.vectors,
-        options.frames,
-        options.seed,
-        options.threads,
-    )?;
-    let circuit = read_netlist(&options.input)?;
-    eprintln!("read {circuit}");
+fn run_fault_sim(mut args: Args) -> Result<u8, CliError> {
+    let method = read_method(&mut args, &["minobswin", "minobs"])?;
+    let sim = args.sim(default_sim())?;
+    let pulse_width = args.value("--pulse-width", "a finite number >= 0", non_negative)?;
+    let campaign_config = args
+        .campaign(sim.threads)?
+        .with_pulse_width(pulse_width.unwrap_or(0.0));
+    let tolerance = read_tolerance(&mut args)?.unwrap_or(DEFAULT_TOLERANCE);
+    let circuit = read_netlist(&args.input()?)?;
 
     let config = RunConfig::default().with_sim(sim);
     let run = Experiment::new(&circuit).config(config.clone()).run()?;
@@ -661,15 +381,11 @@ fn run_fault_sim() -> Result<u8, CliError> {
             t_hold: config.init.t_hold,
         },
     };
-    let campaign_config = CampaignConfig::new(options.injections)
-        .with_seed(options.campaign_seed)
-        .with_workers(options.threads)
-        .with_pulse_width(options.pulse_width);
 
     let score = |label: &str, c: &Circuit| -> Result<f64, CliError> {
         let report = analyze(c, &ser_config)?;
         let campaign = run_campaign(c, &ser_config, &campaign_config)?;
-        let check = CrossCheck::compare(c, &report, &campaign, options.tolerance);
+        let check = CrossCheck::compare(c, &report, &campaign, tolerance);
         println!("== {label} ==");
         print!("{}", check.summary());
         let (lo, hi) = campaign.ser_ci();
@@ -694,16 +410,12 @@ fn run_fault_sim() -> Result<u8, CliError> {
     };
 
     let before = score("original", &circuit)?;
-
-    let chosen = if options.method == "minobs" {
+    let chosen = if method == "minobs" {
         &run.minobs
     } else {
         &run.minobswin
     };
-    let delays = DelayModel::default();
-    let graph = RetimeGraph::from_circuit(&circuit, &delays)?;
-    let rebuilt = apply_retiming(&circuit, &graph, &chosen.retiming)?;
-    let after = score(&format!("retimed ({})", options.method), &rebuilt)?;
+    let after = score(&format!("retimed ({method})"), &chosen.netlist)?;
 
     if before > 0.0 {
         println!(
@@ -715,183 +427,60 @@ fn run_fault_sim() -> Result<u8, CliError> {
     Ok(0)
 }
 
-/// Options shared by the `estimate` and `harden` subcommands: one
-/// circuit, one simulation size, one campaign size, one Φ policy.
-struct EstimateOptions {
-    input: String,
+/// The one flag set `estimate` and `harden` read: one circuit, one
+/// simulation, one campaign, one Φ policy, and each subcommand's own
+/// knobs.
+struct EstimateArgs {
+    circuit: Circuit,
+    ser_config: SerConfig,
+    campaign: faultsim::CampaignConfig,
     engine: String,
-    injections: u64,
-    campaign_seed: u64,
     tolerance: Option<f64>,
     max_source_bits: u32,
-    phi: Option<i64>,
-    area_budget: f64,
-    hardening_factor: f64,
-    area_overhead: f64,
-    max_picks: usize,
+    harden: HardenConfig,
     plan: Option<String>,
     validate: bool,
-    vectors: usize,
-    frames: usize,
-    seed: u64,
-    threads: usize,
 }
 
-fn parse_estimate_args(usage: &str) -> Result<EstimateOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + subcommand
-    let mut options = EstimateOptions {
-        input: String::new(),
-        engine: "all".into(),
-        injections: 100_000,
-        campaign_seed: 0x5EED_FA17,
-        tolerance: None,
-        max_source_bits: DEFAULT_MAX_SOURCE_BITS,
-        phi: None,
-        area_budget: 0.1,
-        hardening_factor: 0.1,
-        area_overhead: 1.0,
-        max_picks: 0,
-        plan: None,
-        validate: true,
-        vectors: 1024,
-        frames: 15,
-        seed: 0xC0FFEE,
-        threads: 0,
+/// Reads the flags of [`EstimateArgs`] and then the netlist, and prints
+/// the Φ the SER is taken at: `--phi`, or the setup/hold
+/// initialization `solve` uses.
+fn prepare_estimate(mut args: Args) -> Result<EstimateArgs, CliError> {
+    let sim = args.sim(default_sim())?;
+    let campaign = args.campaign(sim.threads)?;
+    let phi_rule = |&phi: &i64| phi > 0 && phi <= i64::MAX / 4;
+    let phi = args.value("--phi", "a positive integer below 2^61", phi_rule)?;
+    let fraction = |v: &f64| (0.0..=1.0).contains(v);
+    let area_budget = args.value("--area-budget", "a fraction in [0, 1]", fraction)?;
+    let hardening_factor = args.value("--hardening-factor", "a fraction in [0, 1]", fraction)?;
+    let finite_positive = |v: &f64| v.is_finite() && *v > 0.0;
+    let area_overhead = args.value("--area-overhead", "a finite number > 0", finite_positive)?;
+    let max_picks = args.value("--max-picks", "a non-negative integer", any)?;
+    let base = HardenConfig::default();
+    let harden = HardenConfig {
+        area_budget: area_budget.unwrap_or(base.area_budget),
+        hardening_factor: hardening_factor.unwrap_or(base.hardening_factor),
+        area_overhead: area_overhead.unwrap_or(base.area_overhead),
+        max_picks: max_picks.unwrap_or(base.max_picks),
     };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--engine" => options.engine = args.next().ok_or("--engine needs a value")?,
-            "--injections" => {
-                options.injections = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--injections needs a positive integer")?
-            }
-            "--campaign-seed" => {
-                options.campaign_seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--campaign-seed needs an integer")?
-            }
-            "--tolerance" => {
-                let tol: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--tolerance needs a number")?;
-                if !tol.is_finite() || tol < 0.0 {
-                    return Err("--tolerance needs a non-negative number".into());
-                }
-                options.tolerance = Some(tol);
-            }
-            "--max-source-bits" => {
-                options.max_source_bits = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-source-bits needs a positive integer")?
-            }
-            "--phi" => {
-                options.phi = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&phi: &i64| phi > 0)
-                        .ok_or("--phi needs a positive integer")?,
-                )
-            }
-            "--area-budget" => {
-                let budget: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--area-budget needs a number")?;
-                if !(0.0..=1.0).contains(&budget) {
-                    return Err("--area-budget is a fraction in [0, 1]".into());
-                }
-                options.area_budget = budget;
-            }
-            "--hardening-factor" => {
-                let factor: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--hardening-factor needs a number")?;
-                if !(0.0..=1.0).contains(&factor) {
-                    return Err("--hardening-factor is a fraction in [0, 1]".into());
-                }
-                options.hardening_factor = factor;
-            }
-            "--area-overhead" => {
-                let overhead: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--area-overhead needs a number")?;
-                if !overhead.is_finite() || overhead <= 0.0 {
-                    return Err("--area-overhead needs a positive number".into());
-                }
-                options.area_overhead = overhead;
-            }
-            "--max-picks" => {
-                options.max_picks = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--max-picks needs a non-negative integer")?
-            }
-            "--plan" => options.plan = Some(args.next().ok_or("--plan needs a path")?),
-            "--no-validate" => options.validate = false,
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--seed" => {
-                options.seed = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--seed needs an integer")?
-            }
-            "--threads" | "--workers" => {
-                options.threads = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!("{usage}");
-                std::process::exit(0);
-            }
-            other if options.input.is_empty() && !other.starts_with('-') => {
-                options.input = other.to_string();
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    if options.input.is_empty() {
-        return Err(format!("missing input netlist\n{usage}"));
-    }
-    Ok(options)
-}
+    let engine = args.string("--engine")?.unwrap_or_else(|| "all".into());
+    let tolerance = read_tolerance(&mut args)?;
+    let max_source_bits = (args.value("--max-source-bits", "a non-negative integer", any)?)
+        .unwrap_or(DEFAULT_MAX_SOURCE_BITS);
+    let plan = args.string("--plan")?;
+    let validate = !args.switch("--no-validate");
+    let circuit = read_netlist(&args.input()?)?;
 
-/// Builds the one [`SerConfig`] the estimation subcommands share: the
-/// experiment pipeline's default models, Φ from the same setup/hold
-/// initialization `solve` uses (or the `--phi` override).
-fn build_estimate_config(
-    circuit: &Circuit,
-    options: &EstimateOptions,
-    sim: SimConfig,
-) -> Result<SerConfig, CliError> {
     let defaults = RunConfig::default();
-    let phi = match options.phi {
+    let phi = match phi {
         Some(phi) => phi,
         None => {
-            let graph = RetimeGraph::from_circuit(circuit, &defaults.delays)?;
+            let graph = RetimeGraph::from_circuit(&circuit, &defaults.delays)?;
             defaults.init.initialize(&graph)?.phi
         }
     };
-    Ok(SerConfig {
+    println!("Phi = {phi}");
+    let ser_config = SerConfig {
         sim,
         delays: defaults.delays.clone(),
         rates: defaults.rates.clone(),
@@ -900,6 +489,17 @@ fn build_estimate_config(
             t_setup: defaults.init.t_setup,
             t_hold: defaults.init.t_hold,
         },
+    };
+    Ok(EstimateArgs {
+        circuit,
+        ser_config,
+        campaign,
+        engine,
+        tolerance,
+        max_source_bits,
+        harden,
+        plan,
+        validate,
     })
 }
 
@@ -918,33 +518,19 @@ fn print_estimate(estimate: &SerEstimate) {
 
 /// `retimer estimate`: one engine, or all of them under the three-way
 /// agreement oracle.
-fn run_estimate() -> Result<u8, CliError> {
-    const USAGE: &str = "usage: retimer estimate INPUT[.bench|.blif|.v] \
-         [--engine analytic|montecarlo|propprob|exact|all] [--injections N] \
-         [--campaign-seed S] [--tolerance F] [--max-source-bits B] [--phi P] \
-         [--vectors K] [--frames N] [--seed S] [--threads T]";
-    let options = parse_estimate_args(USAGE)?;
-    let sim = sim_config(
-        options.vectors,
-        options.frames,
-        options.seed,
-        options.threads,
-    )?;
-    let circuit = read_netlist(&options.input)?;
-    eprintln!("read {circuit}");
-    let ser_config = build_estimate_config(&circuit, &options, sim)?;
-    println!("Phi = {}", ser_config.elw.phi);
-
-    let montecarlo = MonteCarloEstimator {
-        campaign: CampaignConfig::new(options.injections)
-            .with_seed(options.campaign_seed)
-            .with_workers(options.threads),
-    };
-    if options.engine == "all" {
-        let bands = options
-            .tolerance
-            .map(ToleranceBands::uniform)
-            .unwrap_or_default();
+fn run_estimate(args: Args) -> Result<u8, CliError> {
+    let EstimateArgs {
+        circuit,
+        ser_config,
+        campaign,
+        engine,
+        tolerance,
+        max_source_bits,
+        ..
+    } = prepare_estimate(args)?;
+    let montecarlo = MonteCarloEstimator { campaign };
+    if engine == "all" {
+        let bands = tolerance.map(ToleranceBands::uniform).unwrap_or_default();
         let report = check_agreement(&circuit, &ser_config, &montecarlo, bands)?;
         print!("{}", report.summary());
         if !report.agrees() {
@@ -958,15 +544,12 @@ fn run_estimate() -> Result<u8, CliError> {
         return Ok(0);
     }
 
-    let kind: EngineKind = options.engine.parse().map_err(CliError::Usage)?;
+    let kind: EngineKind = engine.parse().map_err(CliError::Usage)?;
     let estimate = match kind {
         EngineKind::Analytic => AnalyticEstimator.estimate(&circuit, &ser_config)?,
         EngineKind::PropProb => PropProbEstimator.estimate(&circuit, &ser_config)?,
         EngineKind::MonteCarlo => montecarlo.estimate(&circuit, &ser_config)?,
-        EngineKind::Exact => ExactEstimator {
-            max_source_bits: options.max_source_bits,
-        }
-        .estimate(&circuit, &ser_config)?,
+        EngineKind::Exact => ExactEstimator { max_source_bits }.estimate(&circuit, &ser_config)?,
     };
     print_estimate(&estimate);
     // The heaviest contributors, so a lone engine run is actionable.
@@ -990,41 +573,24 @@ fn run_estimate() -> Result<u8, CliError> {
 
 /// `retimer harden`: rank cells by hardening payoff, spend the area
 /// budget, validate with a same-seed campaign.
-fn run_harden() -> Result<u8, CliError> {
-    const USAGE: &str = "usage: retimer harden INPUT[.bench|.blif|.v] \
-         [--area-budget F] [--hardening-factor F] [--area-overhead F] \
-         [--max-picks N] [--plan FILE.csv] [--no-validate] [--injections N] \
-         [--campaign-seed S] [--phi P] [--vectors K] [--frames N] [--seed S] \
-         [--threads T]";
-    let options = parse_estimate_args(USAGE)?;
-    let sim = sim_config(
-        options.vectors,
-        options.frames,
-        options.seed,
-        options.threads,
-    )?;
-    let circuit = read_netlist(&options.input)?;
-    eprintln!("read {circuit}");
-    let ser_config = build_estimate_config(&circuit, &options, sim)?;
-    println!("Phi = {}", ser_config.elw.phi);
-
-    let campaign = CampaignConfig::new(options.injections)
-        .with_seed(options.campaign_seed)
-        .with_workers(options.threads);
-    let harden = HardenConfig {
-        area_budget: options.area_budget,
-        hardening_factor: options.hardening_factor,
-        area_overhead: options.area_overhead,
-        max_picks: options.max_picks,
-    };
+fn run_harden(args: Args) -> Result<u8, CliError> {
+    let EstimateArgs {
+        circuit,
+        ser_config,
+        campaign,
+        harden,
+        plan: plan_path,
+        validate,
+        ..
+    } = prepare_estimate(args)?;
     let plan = advise(&circuit, &ser_config, &campaign, &harden)?;
     print!("{}", plan.summary());
 
-    if let Some(path) = &options.plan {
+    if let Some(path) = &plan_path {
         std::fs::write(path, plan.to_csv())?;
         println!("wrote {path}");
     }
-    if options.validate && !plan.selected().is_empty() {
+    if validate && !plan.selected().is_empty() {
         let (before, after) = plan.validate(&circuit, &ser_config, &campaign)?;
         println!(
             "validation: SER {:.4e} -> {:.4e} measured ({:+.1}%)",
@@ -1036,102 +602,20 @@ fn run_harden() -> Result<u8, CliError> {
     Ok(0)
 }
 
-struct BenchSolveOptions {
-    out: String,
-    gates: Vec<usize>,
-    samples_only: bool,
-    time_budget: Option<f64>,
-    max_iters: Option<usize>,
-    max_memory: Option<usize>,
-    profile: bool,
-    fail_on_degraded: bool,
-}
-
-fn parse_bench_solve_args() -> Result<BenchSolveOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "bench-solve"
-    let mut options = BenchSolveOptions {
-        out: "BENCH_solver.json".into(),
-        gates: vec![300, 1000],
-        samples_only: false,
-        time_budget: None,
-        max_iters: None,
-        max_memory: None,
-        profile: false,
-        fail_on_degraded: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--gates" => {
-                let list = args.next().ok_or("--gates needs a comma-separated list")?;
-                options.gates = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid --gates list `{list}`"))?;
-            }
-            "--tier" => {
-                let tier = args.next().ok_or("--tier needs a name")?;
-                options.gates = bench_harness::tier_gates(&tier, options.gates)?;
-            }
-            "--samples-only" => options.samples_only = true,
-            "--profile" => options.profile = true,
-            "--fail-on-degraded" => options.fail_on_degraded = true,
-            "--max-memory" => {
-                options.max_memory = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-memory needs a byte count")?,
-                )
-            }
-            "--time-budget" => {
-                let secs: f64 = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--time-budget needs a number of seconds")?;
-                if !secs.is_finite() || secs < 0.0 {
-                    return Err("--time-budget needs a non-negative number".into());
-                }
-                options.time_budget = Some(secs);
-            }
-            "--max-iters" => {
-                options.max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a non-negative integer")?,
-                )
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer bench-solve [--out FILE] [--gates N,N,...] \
-                     [--tier small|large|xlarge] [--samples-only] [--profile] \
-                     [--fail-on-degraded] \
-                     [--time-budget SECS] [--max-iters N] [--max-memory BYTES]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(options)
-}
-
 /// Benchmarks the warm-started closure engine against fresh Dinic
 /// builds and writes the counters as JSON (`BENCH_solver.json`).
-fn run_bench_solve() -> Result<u8, CliError> {
+fn run_bench_solve(mut args: Args) -> Result<u8, CliError> {
     use bench_harness::solver_bench;
 
-    let options = parse_bench_solve_args()?;
+    let (out, gates, profile) = args.bench("BENCH_solver.json", vec![300, 1000])?;
+    let max_memory = args.value("--max-memory", "a byte count", any)?;
+    let budget = args.budget()?.with_max_memory_estimate(max_memory);
+    let fail_on_degraded = args.switch("--fail-on-degraded");
+    args.finish()?;
     let mut instances = solver_bench::sample_instances();
-    if !options.samples_only {
-        for &gates in &options.gates {
-            instances.push(solver_bench::generated_instance(gates)?);
-        }
+    for &size in &gates {
+        instances.push(solver_bench::generated_instance(size)?);
     }
-    let budget = minobswin::SolveBudget::new()
-        .with_wall_time(options.time_budget.map(std::time::Duration::from_secs_f64))
-        .with_max_iterations(options.max_iters)
-        .with_max_memory_estimate(options.max_memory);
 
     let mut degraded = false;
     let mut records = Vec::new();
@@ -1156,7 +640,7 @@ fn run_bench_solve() -> Result<u8, CliError> {
             record.init.used_setup_hold,
             record.init.seconds,
         );
-        if options.profile {
+        if profile {
             print!("{}", solver_bench::profile_table(&record));
         }
         records.push(record);
@@ -1165,15 +649,15 @@ fn run_bench_solve() -> Result<u8, CliError> {
     // `--fail-on-degraded` is the baseline-refresh guard: a truncated
     // run must never overwrite the tracked JSON, so refuse the write
     // entirely instead of writing-then-signalling via the exit code.
-    if degraded && options.fail_on_degraded {
+    if degraded && fail_on_degraded {
         eprintln!(
             "budget exceeded: some runs were truncated; refusing to write {} (exit {})",
-            options.out, EXIT_DEGRADED
+            out, EXIT_DEGRADED
         );
         return Ok(EXIT_DEGRADED);
     }
-    std::fs::write(&options.out, solver_bench::to_json(&records))?;
-    println!("wrote {}", options.out);
+    std::fs::write(&out, solver_bench::to_json(&records))?;
+    println!("wrote {out}");
     if degraded {
         eprintln!("budget exceeded: some runs were truncated (exit 4)");
         return Ok(EXIT_DEGRADED);
@@ -1181,85 +665,23 @@ fn run_bench_solve() -> Result<u8, CliError> {
     Ok(0)
 }
 
-struct BenchSerOptions {
-    out: String,
-    gates: Vec<usize>,
-    samples_only: bool,
-    vectors: usize,
-    frames: usize,
-    profile: bool,
-}
-
-fn parse_bench_ser_args() -> Result<BenchSerOptions, String> {
-    let mut args = std::env::args().skip(2); // binary name + "bench-ser"
-    let mut options = BenchSerOptions {
-        out: "BENCH_ser.json".into(),
-        gates: vec![400, 1500],
-        samples_only: false,
-        vectors: 1024,
-        frames: 15,
-        profile: false,
-    };
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => options.out = args.next().ok_or("--out needs a path")?,
-            "--gates" => {
-                let list = args.next().ok_or("--gates needs a comma-separated list")?;
-                options.gates = list
-                    .split(',')
-                    .map(|s| s.trim().parse::<usize>())
-                    .collect::<Result<_, _>>()
-                    .map_err(|_| format!("invalid --gates list `{list}`"))?;
-            }
-            "--tier" => {
-                let tier = args.next().ok_or("--tier needs a name")?;
-                options.gates = bench_harness::tier_gates(&tier, options.gates)?;
-            }
-            "--samples-only" => options.samples_only = true,
-            "--profile" => options.profile = true,
-            "--vectors" => {
-                options.vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--vectors needs a positive integer")?
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--frames needs a positive integer")?
-            }
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer bench-ser [--out FILE] [--gates N,N,...] \
-                     [--tier small|large|xlarge] [--samples-only] [--profile] \
-                     [--vectors K] [--frames N]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok(options)
-}
-
 /// Benchmarks the SER data plane — scalar per-signature engine vs. flat
 /// arena engine — and writes the timings as JSON (`BENCH_ser.json`).
-fn run_bench_ser() -> Result<u8, CliError> {
+fn run_bench_ser(mut args: Args) -> Result<u8, CliError> {
     use bench_harness::ser_bench;
 
-    let options = parse_bench_ser_args()?;
+    let (out, gates, profile) = args.bench("BENCH_ser.json", vec![400, 1500])?;
+    let defaults = ser_bench::BenchSerConfig::default();
+    let sim = args.sim_size(defaults.sim())?;
+    args.finish()?;
     let config = ser_bench::BenchSerConfig {
-        num_vectors: options.vectors,
-        frames: options.frames,
-        ..ser_bench::BenchSerConfig::default()
+        num_vectors: sim.num_vectors,
+        frames: sim.frames,
+        ..defaults
     };
-    config.sim().validate()?;
     let mut instances = ser_bench::sample_instances();
-    if !options.samples_only {
-        for &gates in &options.gates {
-            instances.push(ser_bench::generated_instance(gates));
-        }
+    for &size in &gates {
+        instances.push(ser_bench::generated_instance(size));
     }
 
     let mut records = Vec::new();
@@ -1279,27 +701,40 @@ fn run_bench_ser() -> Result<u8, CliError> {
             record.propprob_nanos as f64 / 1e6,
             record.propprob_nanos_per_gf(),
         );
-        if options.profile {
+        if profile {
             print!("{}", ser_bench::profile_table(&record));
         }
         records.push(record);
     }
 
-    std::fs::write(&options.out, ser_bench::to_json(&records))?;
-    println!("wrote {}", options.out);
+    std::fs::write(&out, ser_bench::to_json(&records))?;
+    println!("wrote {out}");
     Ok(0)
 }
 
 /// `retimer serve`: boots the daemon (crates/serve) on stdin/stdout or
 /// a unix socket and runs it until drained. `--fsck` instead runs one
 /// standalone cache-integrity pass and exits.
-fn run_serve() -> Result<u8, CliError> {
+fn run_serve(mut args: Args) -> Result<u8, CliError> {
     // Chaos and soak harnesses opt into filesystem fault injection
     // via SABOTAGE_FIO_PLAN (a malformed plan warns and stays inert).
     if let Some(plan) = netlist::fio::install_from_env() {
         eprintln!("warning: filesystem fault injection active: {plan:?}");
     }
-    let (config, socket, fsck) = parse_serve_args()?;
+    let cache = args.string("--cache")?;
+    let mut config = serve::ServeConfig::new(cache.as_deref().unwrap_or(".retimer-cache"));
+    config.workers = args.threads()?.unwrap_or(config.workers);
+    config.queue_capacity =
+        (args.value("--queue", "a positive integer", positive)?).unwrap_or(config.queue_capacity);
+    let budget = args.budget()?;
+    config.default_time_budget = budget.wall_time;
+    config.default_max_iters = budget.max_iterations;
+    let what = "a positive size (bytes, or with k/m/g)";
+    config.cache_max_bytes = args.value_with(&["--cache-max-bytes"], what, parse_byte_size)?;
+    let fsck = args.switch("--fsck");
+    let socket = args.string("--socket")?;
+    args.finish()?;
+
     if fsck {
         let cache = serve::ResultCache::open(&config.cache_dir)
             .map_err(|e| CliError::Usage(format!("--fsck: {}: {e}", config.cache_dir.display())))?
@@ -1317,77 +752,15 @@ fn run_serve() -> Result<u8, CliError> {
 /// Parses a byte size: plain bytes, or with a `k`/`m`/`g` suffix
 /// (binary multiples, case-insensitive).
 fn parse_byte_size(s: &str) -> Option<u64> {
-    let (digits, mult) = match s.trim().to_ascii_lowercase() {
-        t if t.ends_with('k') => (t[..t.len() - 1].to_string(), 1u64 << 10),
-        t if t.ends_with('m') => (t[..t.len() - 1].to_string(), 1u64 << 20),
-        t if t.ends_with('g') => (t[..t.len() - 1].to_string(), 1u64 << 30),
-        t => (t, 1),
+    let s = s.trim().to_ascii_lowercase();
+    let (digits, shift) = match s.char_indices().last()? {
+        (i, 'k') => (&s[..i], 10),
+        (i, 'm') => (&s[..i], 20),
+        (i, 'g') => (&s[..i], 30),
+        _ => (&s[..], 0),
     };
-    digits
-        .parse::<u64>()
-        .ok()
-        .filter(|&n| n > 0)
-        .and_then(|n| n.checked_mul(mult))
-}
-
-fn parse_serve_args() -> Result<(serve::ServeConfig, Option<String>, bool), String> {
-    let mut args = std::env::args().skip(2); // binary name + "serve"
-    let mut config = serve::ServeConfig::new(".retimer-cache");
-    let mut socket: Option<String> = None;
-    let mut fsck = false;
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--cache" => config.cache_dir = args.next().ok_or("--cache needs a directory")?.into(),
-            "--threads" | "--workers" => {
-                config.workers = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .ok_or("--threads needs a non-negative integer")?
-            }
-            "--queue" => {
-                config.queue_capacity = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n: &usize| n > 0)
-                    .ok_or("--queue needs a positive integer")?
-            }
-            "--time-budget" => {
-                config.default_time_budget = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .filter(|&secs: &f64| secs.is_finite() && secs > 0.0)
-                        .ok_or("--time-budget needs a positive number of seconds")?,
-                )
-            }
-            "--max-iters" => {
-                config.default_max_iters = Some(
-                    args.next()
-                        .and_then(|s| s.parse().ok())
-                        .ok_or("--max-iters needs a positive integer")?,
-                )
-            }
-            "--cache-max-bytes" => {
-                config.cache_max_bytes = Some(
-                    args.next()
-                        .as_deref()
-                        .and_then(parse_byte_size)
-                        .ok_or("--cache-max-bytes needs a positive size (bytes, or with k/m/g)")?,
-                )
-            }
-            "--fsck" => fsck = true,
-            "--socket" => socket = Some(args.next().ok_or("--socket needs a path")?),
-            "--help" | "-h" => {
-                eprintln!(
-                    "usage: retimer serve [--cache DIR] [--threads T] [--queue N] \
-                     [--time-budget SECS] [--max-iters N] [--cache-max-bytes SIZE] \
-                     [--socket PATH] [--fsck]"
-                );
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown argument `{other}`")),
-        }
-    }
-    Ok((config, socket, fsck))
+    let n: u64 = digits.parse().ok().filter(|&n| n > 0)?;
+    n.checked_mul(1 << shift)
 }
 
 fn append_csv(path: &str, run: &minobswin::experiment::CircuitRun) -> std::io::Result<()> {

@@ -8,55 +8,22 @@
 //!
 //! `--full` runs unscaled twins (hours of runtime on the b18/b19
 //! twins); the default `--scale 16` reproduces the qualitative shape in
-//! minutes.
+//! minutes. Values follow `retimer`'s rules (`bench_harness::args`):
+//! the scales are positive, the simulation size passes
+//! `SimConfig::validate`, and a bad value exits 2.
 
+use std::process::ExitCode;
+
+use bench_harness::args::{positive, Args};
 use bench_harness::{format_table, run_table1, Table1Options};
 
-fn main() {
-    let mut options = Table1Options::default();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--scale" => {
-                options.scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a positive integer"));
-            }
-            "--giant-extra" => {
-                options.giant_extra_scale = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--giant-extra needs a positive integer"));
-            }
-            "--filter" => {
-                options.filter = Some(
-                    args.next()
-                        .unwrap_or_else(|| usage("--filter needs a value")),
-                );
-            }
-            "--vectors" => {
-                options.num_vectors = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--vectors needs a positive integer"));
-            }
-            "--frames" => {
-                options.frames = args
-                    .next()
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| usage("--frames needs a positive integer"));
-            }
-            "--full" => {
-                options.scale = 1;
-                options.giant_extra_scale = 1;
-            }
-            "--help" | "-h" => {
-                usage("");
-            }
-            other => usage(&format!("unknown argument `{other}`")),
-        }
-    }
+const USAGE: &str = "usage: table1 [--scale N] [--giant-extra N] [--filter SUBSTR] \
+                     [--vectors K] [--frames N] [--full]";
+
+fn main() -> ExitCode {
+    let Ok(options) = read_options().map_err(|e| eprintln!("error: {e}")) else {
+        return ExitCode::from(2);
+    };
     eprintln!(
         "running Table I twins at scale 1/{} (giants 1/{}), K={}, n={} ...",
         options.scale,
@@ -66,15 +33,28 @@ fn main() {
     );
     let rows = run_table1(&options);
     println!("{}", format_table(&rows));
+    ExitCode::SUCCESS
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: table1 [--scale N] [--giant-extra N] [--filter SUBSTR] \
-         [--vectors K] [--frames N] [--full]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
+fn read_options() -> Result<Table1Options, String> {
+    let mut args = Args::new(std::env::args().skip(1));
+    args.help(USAGE);
+    // `--full` is `--scale 1 --giant-extra 1`; explicit scales win.
+    let full = args.switch("--full");
+    let unscaled = |default: usize| if full { 1 } else { default };
+    let defaults = Table1Options::default();
+    let mut options = Table1Options {
+        scale: (args.value("--scale", "a positive integer", positive)?)
+            .unwrap_or(unscaled(defaults.scale)),
+        giant_extra_scale: (args.value("--giant-extra", "a positive integer", positive)?)
+            .unwrap_or(unscaled(defaults.giant_extra_scale)),
+        filter: args.string("--filter")?,
+        ..defaults
+    };
+    let giant_scale = options.scale.checked_mul(options.giant_extra_scale);
+    giant_scale.ok_or("--scale times --giant-extra overflows")?;
+    let sim = args.sim_size(options.sim())?;
+    (options.num_vectors, options.frames) = (sim.num_vectors, sim.frames);
+    args.finish()?;
+    Ok(options)
 }

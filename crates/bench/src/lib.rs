@@ -14,6 +14,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod ser_bench;
 pub mod solver_bench;
 pub mod table1;

@@ -40,6 +40,17 @@ impl Default for Table1Options {
 }
 
 impl Table1Options {
+    /// The simulation every circuit runs.
+    pub fn sim(&self) -> SimConfig {
+        SimConfig {
+            num_vectors: self.num_vectors,
+            frames: self.frames,
+            warmup: 8,
+            seed: 0xC0FFEE,
+            threads: 1,
+        }
+    }
+
     /// A very small configuration for tests.
     pub fn tiny() -> Self {
         Self {
@@ -103,13 +114,7 @@ fn run_row(paper_row: &PaperRow, options: &Table1Options) -> Option<Table1Row> {
     let giant = paper_row.v > 60_000;
     let scale = options.scale * if giant { options.giant_extra_scale } else { 1 };
     let circuit = table1_twin(paper_row, scale);
-    let config = RunConfig::default().with_sim(SimConfig {
-        num_vectors: options.num_vectors,
-        frames: options.frames,
-        warmup: 8,
-        seed: 0xC0FFEE,
-        threads: 1,
-    });
+    let config = RunConfig::default().with_sim(options.sim());
     match Experiment::new(&circuit).config(config).run() {
         Ok(run) => Some(Table1Row {
             paper_name: paper_row.name,

@@ -13,7 +13,8 @@ use retime::{ElwParams, RetimeGraph, Retiming};
 use ser_engine::odc::Observability;
 use ser_engine::sim::{FrameTrace, SimConfig};
 use ser_engine::{
-    analyze, propprob_report_with_trace, vertex_observabilities, ErrorRateModel, SerConfig,
+    analyze, analyze_with_observability, propprob_report_with_trace, vertex_observabilities,
+    ErrorRateModel, SerConfig,
 };
 
 use crate::algorithm::{SolverConfig, SolverStats};
@@ -62,33 +63,19 @@ pub struct RunConfig {
     pub resume: bool,
     /// Base solver configuration shared by both methods (the MinObs
     /// baseline additionally applies `with_p2(false)`). Lets embedding
-    /// callers — the serve daemon's per-job configs — select e.g. the
-    /// closure engine without bypassing the experiment driver.
+    /// callers select e.g. the closure engine without bypassing the
+    /// experiment driver.
     pub solver: SolverConfig,
     /// Phase/progress event stream (see [`ExperimentEvent`]); unset by
     /// default.
     pub progress: ProgressHook,
 }
 
-/// A pipeline phase notification streamed by [`Experiment::run`]
-/// through [`RunConfig::with_progress`]. The serve daemon maps these
-/// onto its per-job `levelized` / `iteration` protocol events.
+/// A pipeline notification streamed by [`Experiment::run`] through
+/// [`RunConfig::with_progress`]. The serve daemon maps these onto its
+/// per-job `iteration` protocol events.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ExperimentEvent {
-    /// The retiming graph is built, §V initialization succeeded and
-    /// the circuit is levelized; solving is about to start.
-    Levelized {
-        /// Retiming-graph vertices (excluding the host).
-        vertices: usize,
-        /// Retiming-graph edges.
-        edges: usize,
-        /// Combinational levels in the circuit.
-        levels: usize,
-        /// The chosen period constraint Φ.
-        phi: i64,
-        /// The chosen (or overridden) `R_min` bound.
-        r_min: i64,
-    },
     /// Periodic solver progress (method is `"minobs"` or
     /// `"minobswin"`).
     SolveProgress {
@@ -98,11 +85,6 @@ pub enum ExperimentEvent {
         iterations: usize,
         /// Committed improvement rounds so far.
         commits: usize,
-    },
-    /// One method's solve finished.
-    MethodDone {
-        /// Which method finished.
-        method: &'static str,
     },
 }
 
@@ -219,6 +201,9 @@ pub fn checkpoint_path(prefix: &Path, method: &str) -> PathBuf {
 pub struct MethodResult {
     /// The final retiming.
     pub retiming: Retiming,
+    /// The original circuit rebuilt under [`MethodResult::retiming`]
+    /// (the netlist the method's SER and register count describe).
+    pub netlist: Circuit,
     /// Registers in the rebuilt netlist.
     pub registers: usize,
     /// Relative register change vs. the original circuit
@@ -331,14 +316,6 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         t_hold: config.init.t_hold,
     };
 
-    config.progress.emit(ExperimentEvent::Levelized {
-        vertices: graph.num_vertices() - 1,
-        edges: graph.num_edges(),
-        levels: netlist::Levelization::of(circuit).num_levels(),
-        phi: init.phi,
-        r_min,
-    });
-
     // The simulation data plane dominates memory at scale (frames ×
     // gates × vectors); check it against the budget's memory cap
     // before allocating anything, so an over-budget instance fails
@@ -371,7 +348,7 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         rates: config.rates.clone(),
         elw: params,
     };
-    let original_report = analyze(circuit, &ser_config)?;
+    let original_report = analyze_with_observability(circuit, &ser_config, &observability)?;
     // Second opinion from the propagation-probability engine, reusing
     // the one simulation above for its signal densities.
     let propprob_report = propprob_report_with_trace(circuit, &ser_config, &trace)?;
@@ -380,8 +357,8 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
     // Any SER engine breaker trip (the per-frame ODC audit caught the
     // blocked kernel diverging from its word oracle; results came from
     // the scalar fallback) is surfaced on each method's degradation
-    // report.
-    let sim_engine = observability.engine().merged(original_report.engine);
+    // report. The original circuit's report carries its one ODC pass.
+    let sim_engine = original_report.engine;
     let evaluate = |retiming: &Retiming,
                     seconds: f64,
                     mut stats: SolverStats|
@@ -404,6 +381,7 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
             delta_ser: report.ser / original_report.ser - 1.0,
             solve_seconds: seconds,
             stats,
+            netlist: rebuilt,
         })
     };
 
@@ -460,9 +438,6 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         .run_supervised(supervise("minobs")?)?
         .into_solution();
     let ref_secs = t0.elapsed().as_secs_f64();
-    config
-        .progress
-        .emit(ExperimentEvent::MethodDone { method: "minobs" });
 
     let t1 = Instant::now();
     let win_sol = SolverSession::new(&graph, &problem)
@@ -471,9 +446,6 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         .run_supervised(supervise("minobswin")?)?
         .into_solution();
     let win_secs = t1.elapsed().as_secs_f64();
-    config.progress.emit(ExperimentEvent::MethodDone {
-        method: "minobswin",
-    });
 
     Ok(CircuitRun {
         name: circuit.name().to_string(),

@@ -60,7 +60,7 @@ pub mod verify;
 pub use problem::Problem;
 pub use session::SolverSession;
 pub use supervisor::{
-    CancelToken, Checkpoint, CheckpointSink, DegradationReport, FileCheckpointSink,
+    budget_seconds, CancelToken, Checkpoint, CheckpointSink, DegradationReport, FileCheckpointSink,
     MemoryCheckpointSink, SolveBudget, SolveOutcome, SolveProgress, StopReason, Supervision,
 };
 

@@ -97,7 +97,8 @@ impl SolveBudget {
         Self::default()
     }
 
-    /// Bounds wall-clock time.
+    /// Bounds wall-clock time (see [`budget_seconds`] for a budget
+    /// given in seconds).
     #[must_use]
     pub fn with_wall_time(mut self, limit: Option<Duration>) -> Self {
         self.wall_time = limit;
@@ -138,6 +139,22 @@ impl SolveBudget {
             || self.max_iterations.is_some()
             || self.max_memory_estimate.is_some()
     }
+}
+
+/// The one rule for a wall-clock budget given in seconds (the CLI's
+/// `--time-budget`, serve's `time_budget` job key and its daemon-wide
+/// default): finite, at least 0, and representable as a [`Duration`].
+/// `0` is valid: the solve stops at its first budget poll and keeps
+/// the starting retiming.
+///
+/// # Errors
+///
+/// A message that reads after the value's name, e.g. ``"`time_budget`
+/// must be …"``.
+pub fn budget_seconds(secs: f64) -> Result<Duration, String> {
+    Duration::try_from_secs_f64(secs).map_err(|_| {
+        format!("must be a finite number of seconds >= 0 that fits a duration, got {secs:?}")
+    })
 }
 
 /// Why a supervised solve stopped early.
@@ -844,7 +861,11 @@ pub(crate) struct SupervisorRt {
 
 impl SupervisorRt {
     pub(crate) fn new(supervision: Supervision, digest: u64) -> Self {
-        let deadline = supervision.budget.wall_time.map(|d| Instant::now() + d);
+        // A budget past the end of the monotonic clock never expires.
+        let deadline = supervision
+            .budget
+            .wall_time
+            .and_then(|d| Instant::now().checked_add(d));
         Self {
             deadline,
             audit_interval: supervision.audit_interval,
@@ -1179,6 +1200,19 @@ mod tests {
         assert!(SolveBudget::new()
             .with_wall_time(Some(Duration::from_secs(1)))
             .is_limited());
+    }
+
+    #[test]
+    fn budget_seconds_is_the_one_seconds_rule() {
+        assert_eq!(budget_seconds(0.0), Ok(Duration::ZERO));
+        assert_eq!(budget_seconds(1.5), Ok(Duration::from_millis(1500)));
+        for bad in [-1.0, f64::NAN, f64::INFINITY, 1e300] {
+            assert!(budget_seconds(bad).is_err(), "{bad} accepted");
+        }
+        // A budget the monotonic clock cannot reach is no deadline,
+        // not an overflow panic.
+        let far = Supervision::new().budget(SolveBudget::new().with_wall_time(Some(Duration::MAX)));
+        assert!(SupervisorRt::new(far, 0).deadline.is_none());
     }
 
     #[test]

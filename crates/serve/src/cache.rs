@@ -43,7 +43,7 @@ use std::time::SystemTime;
 use netlist::digest::{content_digest, format_digest, parse_digest, Fnv1a};
 use netlist::fio;
 
-use crate::job::{ClosureChoice, JobSpec, Method};
+use crate::job::{JobSpec, Method};
 use crate::json::Json;
 
 /// Hit/miss and health counters for the cache. The soak test uses
@@ -674,15 +674,13 @@ fn touch(path: &Path) {
 ///
 /// Every knob that can change the result (or whether the solve
 /// completes cleanly) is hashed: method, simulation shape and seed,
-/// `R_min` override, both budget axes and the closure engine. The
-/// thread count is deliberately **excluded** — the SER engine is
-/// bit-identical for every worker count, so the same circuit solved
-/// with 1 or 8 threads shares one cache entry. The `deadline_ms`
-/// admission deadline is likewise excluded: it decides whether a job
-/// runs at all, never what the solve produces.
+/// `R_min` override and both budget axes. The job id and the
+/// `deadline_ms` admission deadline are deliberately **excluded**: the
+/// one names the job, the other decides whether it runs at all, and
+/// neither changes what the solve produces.
 pub fn config_fingerprint(spec: &JobSpec) -> u64 {
     let mut h = Fnv1a::new();
-    h.write_str("serve-config-v1");
+    h.write_str("serve-config-v2");
     h.write_str(match spec.method {
         Method::MinObs => "minobs",
         Method::MinObsWin => "minobswin",
@@ -711,10 +709,6 @@ pub fn config_fingerprint(spec: &JobSpec) -> u64 {
             h.write_u64(n as u64);
         }
     }
-    h.write_str(match spec.closure {
-        ClosureChoice::Warm => "closure-warm",
-        ClosureChoice::Fresh => "closure-fresh",
-    });
     h.finish()
 }
 
@@ -947,13 +941,8 @@ mod tests {
         let fp = config_fingerprint(&base);
         let mut other = base.clone();
         other.id = "different-id".into();
-        other.threads = 8;
         other.deadline_ms = Some(5_000);
-        assert_eq!(
-            config_fingerprint(&other),
-            fp,
-            "id/threads/deadline excluded"
-        );
+        assert_eq!(config_fingerprint(&other), fp, "id/deadline excluded");
 
         let mut m = base.clone();
         m.method = Method::MinObs;
@@ -964,8 +953,5 @@ mod tests {
         let mut t = base.clone();
         t.time_budget = Some(5.0);
         assert_ne!(config_fingerprint(&t), fp);
-        let mut c = base.clone();
-        c.closure = ClosureChoice::Fresh;
-        assert_ne!(config_fingerprint(&c), fp);
     }
 }

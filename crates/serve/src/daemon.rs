@@ -13,18 +13,14 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use minobswin::algorithm::SolverConfig;
-use minobswin::closure_inc::ClosureEngine;
 use minobswin::experiment::{checkpoint_path, Experiment, ExperimentEvent, RunConfig};
 use minobswin::{CancelToken, SolveBudget};
 use netlist::digest::{circuit_digest, format_digest};
 use netlist::parallel::resolve_workers;
 use netlist::{bench_format, Circuit, Levelization, ParseLimits};
-use retime::apply::apply_retiming;
-use retime::RetimeGraph;
 
 use crate::cache::{config_fingerprint, LevelsEntry, ResultCache};
-use crate::job::{ClosureChoice, JobId, JobSpec, JobState, Method, NetlistFormat};
+use crate::job::{JobId, JobSpec, JobState, Method, NetlistFormat};
 use crate::json::Json;
 
 /// All jobs are parsed under this circuit name so the canonical text
@@ -43,9 +39,9 @@ pub struct ServeConfig {
     pub queue_capacity: usize,
     /// Cache directory (see [`ResultCache`]).
     pub cache_dir: PathBuf,
-    /// Default per-job wall-clock budget in seconds, applied when a
-    /// spec does not set its own.
-    pub default_time_budget: Option<f64>,
+    /// Default per-job wall-clock budget, applied when a spec does
+    /// not set its own.
+    pub default_time_budget: Option<Duration>,
     /// Default per-job iteration budget.
     pub default_max_iters: Option<usize>,
     /// Size budget for the cache's stage directories, enforced by LRU
@@ -176,8 +172,11 @@ impl Event {
     }
 }
 
+/// A job's entry in the daemon's table. The spec itself (inline
+/// source included) travels in the queue and is handed to the worker
+/// that takes it, so a finished job keeps only its state, token and
+/// result key.
 struct JobEntry {
-    spec: JobSpec,
     state: JobState,
     token: CancelToken,
     cancel_requested: bool,
@@ -189,7 +188,7 @@ struct JobEntry {
 }
 
 struct State {
-    pending: VecDeque<JobId>,
+    pending: VecDeque<JobSpec>,
     jobs: HashMap<JobId, JobEntry>,
     /// Jobs reserved by an in-flight `enqueue` but not yet published
     /// to `pending`; counted against the queue bound so concurrent
@@ -203,7 +202,7 @@ struct Shared {
     cv: Condvar,
     cache: ResultCache,
     tx: Mutex<Sender<Event>>,
-    defaults: (Option<f64>, Option<usize>),
+    defaults: (Option<Duration>, Option<usize>),
 }
 
 impl Shared {
@@ -347,7 +346,6 @@ impl Daemon {
             st.jobs.insert(
                 spec.id.clone(),
                 JobEntry {
-                    spec: spec.clone(),
                     state: JobState::Queued,
                     token: CancelToken::new(),
                     cancel_requested: false,
@@ -362,20 +360,19 @@ impl Daemon {
         // Phase 3: publish. A cancel may have raced the admission and
         // already marked the entry terminal; honour it instead of
         // handing a dead job to a worker.
+        let id = spec.id.clone();
         {
             let mut st = self.shared.state.lock().expect("daemon state poisoned");
             st.admitting -= 1;
-            match st.jobs.get(&spec.id) {
+            match st.jobs.get(&id) {
                 Some(entry) if entry.state.is_terminal() => {
-                    self.shared.cache.remove_job(&spec.id);
+                    self.shared.cache.remove_job(&id);
                     return Ok(());
                 }
-                _ => st.pending.push_back(spec.id.clone()),
+                _ => st.pending.push_back(spec),
             }
         }
-        self.shared.emit(Event::Queued {
-            id: spec.id.clone(),
-        });
+        self.shared.emit(Event::Queued { id });
         self.shared.cv.notify_one();
         Ok(())
     }
@@ -395,7 +392,7 @@ impl Daemon {
         entry.token.cancel();
         if entry.state == JobState::Queued {
             entry.state = JobState::Cancelled;
-            st.pending.retain(|p| p != id);
+            st.pending.retain(|p| p.id != id);
             drop(st);
             self.shared.cache.remove_job(id);
             self.shared.emit(Event::Terminal {
@@ -497,11 +494,11 @@ fn validate_id(id: &str) -> Result<(), String> {
 
 fn worker_loop(shared: &Arc<Shared>) {
     loop {
-        let id = {
+        let spec = {
             let mut st = shared.state.lock().expect("daemon state poisoned");
             loop {
-                if let Some(id) = st.pending.pop_front() {
-                    break id;
+                if let Some(spec) = st.pending.pop_front() {
+                    break spec;
                 }
                 if st.draining {
                     return;
@@ -509,18 +506,18 @@ fn worker_loop(shared: &Arc<Shared>) {
                 st = shared.cv.wait(st).expect("daemon state poisoned");
             }
         };
-        run_job(shared, &id);
+        run_job(shared, &spec);
     }
 }
 
 /// Runs one job to a terminal state. Never panics the worker: every
 /// failure path maps onto `JobState::Failed` with a stable exit code.
-fn run_job(shared: &Arc<Shared>, id: &str) {
-    let (spec, token, admitted, cancelled_early) = {
+fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
+    let id = spec.id.as_str();
+    let (token, admitted, cancelled_early) = {
         let st = shared.state.lock().expect("daemon state poisoned");
         let Some(entry) = st.jobs.get(id) else { return };
         (
-            entry.spec.clone(),
             entry.token.clone(),
             entry.admitted,
             entry.state.is_terminal(),
@@ -542,14 +539,19 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     };
 
     // --- spec sanity --------------------------------------------------
-    // A simulation size the SER engine cannot run would panic the
-    // worker thread deep in the solver. Reject it as a job failure
-    // (exit 2, like every other invalid input) instead.
+    // A simulation size the SER engine cannot run, or a budget no
+    // `Duration` can hold, would panic the worker thread deep in the
+    // solver. Reject it as a job failure (exit 2, like every other
+    // invalid input) instead: specs from the library API and recovered
+    // job files reach here without the request parser.
     let sim = spec.sim_config();
-    if let Err(error) = sim.validate() {
-        finish(JobState::Failed { exit: 2, error }, false, None);
-        return;
-    }
+    let wall_time = match sim.validate().and(spec.wall_time()) {
+        Ok(wall_time) => wall_time.or(shared.defaults.0),
+        Err(error) => {
+            finish(JobState::Failed { exit: 2, error }, false, None);
+            return;
+        }
+    };
 
     // --- admission deadline ------------------------------------------
     // Checked at dequeue: a job that waited out its deadline in the
@@ -569,7 +571,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     let netlist_key = ResultCache::netlist_key(&spec.source);
     let cached_canonical = shared.cache.lookup_netlist(&netlist_key);
     let from_cache = cached_canonical.is_some();
-    let circuit = match parse_job(&spec, cached_canonical) {
+    let circuit = match parse_job(spec, cached_canonical) {
         Ok(c) => c,
         Err(e) => {
             let error = e.to_string();
@@ -611,7 +613,7 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
     });
 
     // --- result cache stage ------------------------------------------
-    let result_key = ResultCache::result_key(&circuit_key, config_fingerprint(&spec));
+    let result_key = ResultCache::result_key(&circuit_key, config_fingerprint(spec));
     {
         let mut st = shared.state.lock().expect("daemon state poisoned");
         if let Some(entry) = st.jobs.get_mut(id) {
@@ -625,44 +627,34 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
 
     // --- solve -------------------------------------------------------
     let budget = SolveBudget::new()
-        .with_wall_time(
-            spec.time_budget
-                .or(shared.defaults.0)
-                .map(Duration::from_secs_f64),
-        )
+        .with_wall_time(wall_time)
         .with_max_iterations(spec.max_iters.or(shared.defaults.1))
         .with_token(token);
-    let solver = match spec.closure {
-        ClosureChoice::Warm => SolverConfig::default(),
-        ClosureChoice::Fresh => SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
-    };
 
     let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);
     let progress = {
         let shared = Arc::clone(shared);
         let id = id.to_string();
         move |event: ExperimentEvent| {
-            if let ExperimentEvent::SolveProgress {
+            let ExperimentEvent::SolveProgress {
                 method,
                 iterations,
                 commits,
-            } = event
-            {
-                shared.set_state(
-                    &id,
-                    JobState::Running {
-                        method,
-                        iterations,
-                        commits,
-                    },
-                );
-                shared.emit(Event::Iteration {
-                    id: id.clone(),
+            } = event;
+            shared.set_state(
+                &id,
+                JobState::Running {
                     method,
                     iterations,
                     commits,
-                });
-            }
+                },
+            );
+            shared.emit(Event::Iteration {
+                id: id.clone(),
+                method,
+                iterations,
+                commits,
+            });
         }
     };
     let cfg = RunConfig::default()
@@ -671,7 +663,6 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         .with_budget(budget)
         .with_checkpoint(Some(checkpoint_prefix.clone()))
         .with_resume(true)
-        .with_solver(solver)
         .with_progress(Arc::new(progress));
 
     let run = Experiment::new(&circuit).config(cfg).run();
@@ -716,19 +707,8 @@ fn run_job(shared: &Arc<Shared>, id: &str) {
         return;
     }
 
-    // Clean completion: rebuild the retimed netlist, cache, done.
-    let rebuilt = RetimeGraph::from_circuit(&circuit, &Default::default())
-        .and_then(|graph| apply_retiming(&circuit, &graph, &method_result.retiming));
-    let rebuilt = match rebuilt {
-        Ok(c) => c,
-        Err(e) => {
-            let error = e.to_string();
-            let exit = minobswin::SolveError::Retime(e).exit_code();
-            finish(JobState::Failed { exit, error }, false, Some(result_key));
-            return;
-        }
-    };
-    let bench = bench_format::write(&rebuilt);
+    // Clean completion: cache the retimed netlist, done.
+    let bench = bench_format::write(&method_result.netlist);
     let meta = Json::obj(vec![
         ("exit", Json::num(0.0)),
         ("method", Json::str(spec.method.name())),

@@ -11,6 +11,8 @@
 //! queued ──(deadline_ms elapsed before a worker dequeues)─ expired  exit 5
 //! ```
 
+use std::time::Duration;
+
 use ser_engine::sim::SimConfig;
 
 use crate::json::Json;
@@ -65,40 +67,6 @@ impl Method {
     }
 }
 
-/// Which closure engine a job's solver uses (part of the config
-/// fingerprint; see `cache::config_fingerprint`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureChoice {
-    /// The warm-started incremental engine (default).
-    #[default]
-    Warm,
-    /// From-scratch Dinic builds every call.
-    Fresh,
-}
-
-impl ClosureChoice {
-    /// The protocol name.
-    pub fn name(&self) -> &'static str {
-        match self {
-            ClosureChoice::Warm => "warm",
-            ClosureChoice::Fresh => "fresh",
-        }
-    }
-
-    /// Parses a protocol name.
-    ///
-    /// # Errors
-    ///
-    /// A message naming the unknown engine.
-    pub fn from_name(name: &str) -> Result<Self, String> {
-        match name {
-            "warm" => Ok(ClosureChoice::Warm),
-            "fresh" => Ok(ClosureChoice::Fresh),
-            other => Err(format!("unknown closure engine `{other}` (warm|fresh)")),
-        }
-    }
-}
-
 /// One job: a netlist (inline source; the server resolves `path`
 /// submissions to content before admission, so the cache is keyed on
 /// content, never on file names) plus the solve configuration.
@@ -118,19 +86,13 @@ pub struct JobSpec {
     pub frames: usize,
     /// Stimulus seed.
     pub seed: u64,
-    /// Per-job simulation worker threads (default 1: the daemon's
-    /// parallelism is across jobs). Not part of the config
-    /// fingerprint — the SER engine is bit-identical across thread
-    /// counts by construction.
-    pub threads: usize,
     /// Optional `R_min` override.
     pub r_min: Option<i64>,
-    /// Wall-clock budget in seconds (`None`: the daemon default).
+    /// Wall-clock budget in seconds (`None`: the daemon default); see
+    /// [`JobSpec::wall_time`].
     pub time_budget: Option<f64>,
     /// Iteration budget (`None`: the daemon default).
     pub max_iters: Option<usize>,
-    /// Solver closure engine.
-    pub closure: ClosureChoice,
     /// Admission deadline in milliseconds: if the job is still queued
     /// this long after admission, a worker rejects it as
     /// [`JobState::Expired`] instead of running it (`None`: wait
@@ -150,11 +112,9 @@ impl JobSpec {
             vectors: 256,
             frames: 8,
             seed: 0xC0FFEE,
-            threads: 1,
             r_min: None,
             time_budget: None,
             max_iters: None,
-            closure: ClosureChoice::default(),
             deadline_ms: None,
         }
     }
@@ -165,9 +125,19 @@ impl JobSpec {
             num_vectors: self.vectors,
             frames: self.frames,
             seed: self.seed,
-            threads: self.threads,
             ..SimConfig::default()
         }
+    }
+
+    /// The job's own wall-clock budget (`None`: the daemon default).
+    ///
+    /// # Errors
+    ///
+    /// A `time_budget` that [`minobswin::budget_seconds`] rejects.
+    pub fn wall_time(&self) -> Result<Option<Duration>, String> {
+        let check =
+            |secs| minobswin::budget_seconds(secs).map_err(|e| format!("`time_budget` {e}"));
+        self.time_budget.map(check).transpose()
     }
 
     /// Serializes to the JSON shape shared by `submit` requests and
@@ -181,8 +151,6 @@ impl JobSpec {
             ("vectors", Json::num(self.vectors as f64)),
             ("frames", Json::num(self.frames as f64)),
             ("seed", Json::num(self.seed as f64)),
-            ("threads", Json::num(self.threads as f64)),
-            ("closure", Json::str(self.closure.name())),
         ];
         if let Some(r) = self.r_min {
             pairs.push(("r_min", Json::num(r as f64)));
@@ -201,6 +169,8 @@ impl JobSpec {
 
     /// Parses the JSON shape of [`JobSpec::to_json`] (also the
     /// `submit` request body, minus the server-resolved `path` form).
+    /// Unknown keys are ignored, so clients that still send the
+    /// retired `threads` and `closure` keys keep working.
     ///
     /// # Errors
     ///
@@ -225,10 +195,6 @@ impl JobSpec {
         if let Some(m) = v.get("method") {
             spec.method = Method::from_name(m.as_str().ok_or("`method` must be a string")?)?;
         }
-        if let Some(c) = v.get("closure") {
-            spec.closure =
-                ClosureChoice::from_name(c.as_str().ok_or("`closure` must be a string")?)?;
-        }
         let uint = |key: &str| -> Result<Option<u64>, String> {
             match v.get(key) {
                 None => Ok(None),
@@ -248,9 +214,6 @@ impl JobSpec {
         if let Some(n) = uint("seed")? {
             spec.seed = n;
         }
-        if let Some(n) = uint("threads")? {
-            spec.threads = n as usize;
-        }
         if let Some(n) = uint("max_iters")? {
             spec.max_iters = Some(n as usize);
         }
@@ -261,11 +224,8 @@ impl JobSpec {
             spec.r_min = Some(r.as_i64().ok_or("`r_min` must be an integer")?);
         }
         if let Some(t) = v.get("time_budget") {
-            let secs = t.as_f64().ok_or("`time_budget` must be a number")?;
-            if !secs.is_finite() || secs < 0.0 {
-                return Err("`time_budget` must be non-negative".into());
-            }
-            spec.time_budget = Some(secs);
+            spec.time_budget = Some(t.as_f64().ok_or("`time_budget` must be a number")?);
+            spec.wall_time()?;
         }
         Ok(spec)
     }
@@ -364,11 +324,17 @@ mod tests {
         spec.r_min = Some(-3);
         spec.time_budget = Some(1.5);
         spec.max_iters = Some(99);
-        spec.closure = ClosureChoice::Fresh;
         spec.deadline_ms = Some(2_500);
         let json = spec.to_json().to_string();
         let back = JobSpec::from_json(&Json::parse(&json).unwrap()).unwrap();
         assert_eq!(back, spec);
+    }
+
+    #[test]
+    fn retired_keys_are_ignored() {
+        let line = r#"{"id":"a","source":"x","format":"bench","threads":1,"closure":"fresh"}"#;
+        let spec = JobSpec::from_json(&Json::parse(line).unwrap()).unwrap();
+        assert_eq!(spec, JobSpec::new("a", "x", NetlistFormat::Bench));
     }
 
     #[test]
@@ -378,10 +344,11 @@ mod tests {
         assert!(bad(r#"{"id":"a","source":"x","format":"edif"}"#).contains("edif"));
         assert!(bad(r#"{"id":"a","source":"x","format":"bench","vectors":0}"#).contains("vectors"));
         assert!(bad(r#"{"id":"a","source":"x","format":"bench","frames":0}"#).contains("frames"));
-        assert!(
-            bad(r#"{"id":"a","source":"x","format":"bench","time_budget":-1}"#)
-                .contains("time_budget")
-        );
+        for budget in ["-1", "1e300"] {
+            let job =
+                format!(r#"{{"id":"a","source":"x","format":"bench","time_budget":{budget}}}"#);
+            assert!(bad(&job).contains("time_budget"), "{budget}");
+        }
         assert!(bad(r#"{"id":"a","source":"x","format":"bench","method":7}"#).contains("method"));
     }
 

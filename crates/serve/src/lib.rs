@@ -35,7 +35,7 @@ pub mod server;
 
 pub use cache::{config_fingerprint, CacheCounters, ResultCache};
 pub use daemon::{Daemon, Event, ServeConfig, SubmitError};
-pub use job::{format_from_name, ClosureChoice, JobSpec, JobState, Method, NetlistFormat};
+pub use job::{format_from_name, JobSpec, JobState, Method, NetlistFormat};
 #[cfg(unix)]
 pub use server::run_socket;
 pub use server::run_stdio;

@@ -1,10 +1,9 @@
 //! Property tests over the result-cache key: any configuration change
 //! that can alter the solve outcome must change the config
-//! fingerprint, while knobs that are bit-identical by construction
-//! (thread count) and identity fields (job id) must not.
+//! fingerprint, while identity fields (job id) must not.
 
 use proptest::prelude::*;
-use serve::job::{ClosureChoice, JobSpec, Method, NetlistFormat};
+use serve::job::{JobSpec, Method, NetlistFormat};
 use serve::{config_fingerprint, ResultCache};
 
 fn base_spec() -> JobSpec {
@@ -48,15 +47,10 @@ proptest! {
         prop_assert_ne!(config_fingerprint(&changed), config_fingerprint(&base));
     }
 
-    /// The closure engine, method, and simulation shape are all part
-    /// of the key.
+    /// The method and simulation shape are part of the key.
     #[test]
     fn solver_knobs_always_change_key(vectors in 64usize..8192, seed in 0u64..u64::MAX) {
         let base = base_spec();
-
-        let mut closure = base.clone();
-        closure.closure = ClosureChoice::Fresh;
-        prop_assert_ne!(config_fingerprint(&closure), config_fingerprint(&base));
 
         let mut method = base.clone();
         method.method = Method::MinObs;
@@ -70,16 +64,13 @@ proptest! {
         }
     }
 
-    /// Identity and execution-placement fields are excluded: the same
-    /// circuit and config solved under any job id and thread count
-    /// shares one cache entry (results are bit-identical across thread
-    /// counts by the PR-5 guarantee).
+    /// The job id is excluded: the same circuit and config solved
+    /// under any id shares one cache entry.
     #[test]
-    fn id_and_threads_never_change_key(threads in 0usize..64, tag in 0u32..1_000_000) {
+    fn id_never_changes_key(tag in 0u32..1_000_000) {
         let base = base_spec();
         let mut changed = base.clone();
         changed.id = format!("other-{tag}");
-        changed.threads = threads;
         prop_assert_eq!(config_fingerprint(&changed), config_fingerprint(&base));
     }
 

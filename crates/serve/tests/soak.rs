@@ -343,3 +343,30 @@ fn worker_rejects_unsimulatable_sizes() {
     daemon.drain();
     let _ = std::fs::remove_dir_all(daemon.cache().root());
 }
+
+/// A wall-clock budget no `Duration` can hold fails its job (exit 2,
+/// the key named) instead of panicking the worker thread, and the same
+/// worker goes on to finish a valid job submitted after it.
+#[test]
+fn worker_rejects_unrepresentable_budgets() {
+    let mut config = ServeConfig::new(tmpdir("huge_budget"));
+    config.workers = 1;
+    let daemon = Daemon::start(config).expect("daemon boots");
+    let source = bench_format::write(&samples::s27_like());
+    let mut huge = real_spec("huge-budget", &source);
+    huge.time_budget = Some(1e300);
+    daemon.submit(huge).expect("job admitted");
+    match wait_terminal(&daemon, "huge-budget", Duration::from_secs(60)) {
+        JobState::Failed { exit: 2, error } => assert!(error.contains("time_budget"), "{error}"),
+        other => panic!("expected a usage failure, got {other:?}"),
+    }
+    daemon
+        .submit(real_spec("after-huge", &source))
+        .expect("job admitted");
+    assert_eq!(
+        wait_terminal(&daemon, "after-huge", Duration::from_secs(120)),
+        JobState::Done
+    );
+    daemon.drain();
+    let _ = std::fs::remove_dir_all(daemon.cache().root());
+}

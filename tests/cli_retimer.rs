@@ -356,3 +356,127 @@ fn retimer_exits_two_on_bad_simulation_sizes() {
     assert!(!std::path::Path::new(bench_out).exists());
     std::fs::remove_dir_all(&dir).ok();
 }
+
+#[test]
+fn retimer_rejects_out_of_range_values_with_the_flag_named() {
+    // Every value has one parse-and-range rule: a value outside it
+    // exits 2 with the flag named, before any work starts, and never
+    // reaches the assertion or overflow deeper in the pipeline.
+    let dir = workdir("bad_values");
+    let input = dir.join("s27.bench");
+    netlist::bench_format::write_file(&netlist::samples::s27_like(), &input).expect("write input");
+    let input = input.to_str().unwrap();
+    let scratch = dir.join("scratch");
+    let scratch = scratch.to_str().unwrap();
+    let table1 = env!("CARGO_BIN_EXE_table1");
+    let cases: &[(&str, &[&str], &str)] = &[
+        (
+            bin(),
+            &["fault-sim", input, "--tolerance", "nan"],
+            "--tolerance",
+        ),
+        (
+            bin(),
+            &["fault-sim", input, "--tolerance", "-1"],
+            "--tolerance",
+        ),
+        (
+            bin(),
+            &["fault-sim", input, "--pulse-width", "-5"],
+            "--pulse-width",
+        ),
+        (
+            bin(),
+            &["fault-sim", input, "--pulse-width", "nan"],
+            "--pulse-width",
+        ),
+        (
+            bin(),
+            &["fault-sim", input, "--injections", "0"],
+            "--injections",
+        ),
+        (
+            bin(),
+            &["solve", input, "--time-budget", "1e300"],
+            "--time-budget",
+        ),
+        (
+            bin(),
+            &[
+                "bench-solve",
+                "--samples-only",
+                "--time-budget",
+                "1e300",
+                "--out",
+                scratch,
+            ],
+            "--time-budget",
+        ),
+        (
+            bin(),
+            &["estimate", input, "--phi", "9223372036854775806"],
+            "--phi",
+        ),
+        (
+            bin(),
+            &["serve", "--time-budget", "1e300", "--cache", scratch],
+            "--time-budget",
+        ),
+        (table1, &["--scale", "0"], "--scale"),
+        (table1, &["--giant-extra", "0"], "--giant-extra"),
+        (table1, &["--vectors", "100"], "--vectors"),
+    ];
+    for (program, args, flag) in cases {
+        let out = Command::new(program)
+            .args(*args)
+            .stdin(std::process::Stdio::null())
+            .output()
+            .expect("run");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains(flag), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+    assert!(!std::path::Path::new(scratch).exists());
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retimer_keeps_every_accepted_spelling() {
+    // The spellings scripts rely on: the `--workers` alias, a negative
+    // `--r-min`, a bare INPUT without `solve`, `--threads` on solve, a
+    // repeated flag whose last value wins, and `--time-budget 0`.
+    let dir = workdir("spellings");
+    let input = dir.join("spell.bench");
+    netlist::bench_format::write_file(&netlist::samples::pipeline(9, 3), &input)
+        .expect("write input");
+    let input = input.to_str().unwrap();
+    let cases: &[(&[&str], i32, &str)] = &[
+        (&[input, "--workers", "2"], 0, "minobswin"),
+        (&[input, "--r-min", "-3"], 0, "R_min = -3"),
+        (&["solve", input, "--threads", "1"], 0, "SER_ref / SER_new"),
+        (
+            &[input, "--vectors", "100", "--vectors", "64"],
+            0,
+            "original",
+        ),
+        (
+            &[input, "--method", "minobs", "--method", "minobswin"],
+            0,
+            "minobswin:",
+        ),
+        (&[input, "--time-budget", "0"], 4, "minobswin"),
+    ];
+    for (args, code, needle) in cases {
+        let out = Command::new(bin())
+            .args(*args)
+            .args(["--frames", "4", "--no-equiv"])
+            .output()
+            .expect("run retimer");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(*code), "{args:?}: {stdout}{stderr}");
+        assert!(stdout.contains(needle), "{args:?}: {stdout}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}

@@ -266,7 +266,6 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
          {indent}  \"closure_nanos\": {},\n\
          {indent}  \"closure_calls\": {},\n\
          {indent}  \"closure_arcs_touched\": {},\n\
-         {indent}  \"closure_fallback_full\": {},\n\
          {indent}  \"arcs_per_closure\": {:.3},\n\
          {indent}  \"closure_warm_nanos\": {},\n\
          {indent}  \"closure_skips\": {},\n\
@@ -284,7 +283,6 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
         p.closure_nanos,
         p.closure_calls,
         p.closure_arcs_touched,
-        p.closure_fallback_full,
         p.arcs_per_closure(),
         p.closure_warm_nanos,
         p.closure_skips,
@@ -375,7 +373,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
 /// (hand-rolled: the workspace deliberately has no serde dependency).
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 5,\n");
+    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 6,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(

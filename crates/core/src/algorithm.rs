@@ -66,10 +66,10 @@ pub struct SolverConfig {
     pub bidirectional: bool,
     /// Which max-gain closure engine selects each iteration's move set
     /// ([`crate::closure_inc`]). The default warm-started engine
-    /// persists the flow network's residual across iterations; `Fresh`
-    /// rebuilds it every call (the engines are bit-identical by the
-    /// canonical closure-selection rule, so this is purely a
-    /// performance knob).
+    /// keeps its max-flow search trees across iterations; `Fresh`
+    /// rebuilds the flow network every call (the engines are
+    /// bit-identical by the canonical closure-selection rule, so this
+    /// is purely a performance knob).
     pub closure_engine: ClosureEngine,
     /// Test-only fault injection into the warm closure engine; see
     /// [`Sabotage`]. Production code leaves this at the default
@@ -442,9 +442,7 @@ fn run_phase(
     // gated on its circuit breaker: once tripped (this phase or an
     // earlier one), the fresh engine serves the rest of the solve.
     let mut warm_closure = match config.closure_engine {
-        ClosureEngine::Warm { rebuild_percent } if rt.closure_allowed() => {
-            Some(IncrementalClosure::new(rebuild_percent))
-        }
+        ClosureEngine::Warm if rt.closure_allowed() => Some(IncrementalClosure::new()),
         _ => None,
     };
     let direction_increase = direction == Direction::Increase;

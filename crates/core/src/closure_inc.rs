@@ -1,54 +1,73 @@
 //! Warm-started incremental selection of maximum-gain closed sets.
 //!
 //! The solver calls [`crate::closure::ConstraintSystem::max_gain_closed_set`]
-//! once per loop iteration, and that min-cut is the dominant cost of
-//! a solve (`closure_nanos` in `BENCH_solver.json`): every iteration
-//! rebuilt the flow network and ran Dinic from zero flow, even though
-//! successive iterations differ only by the last violation's deltas —
-//! one weight raise, one constraint arc, or one freeze.
+//! once per loop iteration, and that min cut is the dominant cost of a
+//! solve (`closure_nanos` in `BENCH_solver.json`). Successive calls
+//! differ only by the last violation batch's deltas: weight raises,
+//! constraint arcs and freezes.
 //!
-//! [`IncrementalClosure`] instead **persists the residual graph**
-//! across calls. Between two selections it consumes the constraint
-//! system's append-only change log ([`ConstraintSystem::gain_log`] /
-//! [`ConstraintSystem::arc_log`]) and applies the corresponding
-//! capacity deltas to the live residual:
+//! [`IncrementalClosure`] runs the Boykov–Kolmogorov (BK) max-flow
+//! algorithm and **keeps its two search trees across calls** for the
+//! lifetime of the engine (one solver phase), repairing only what a
+//! delta touches — the "dynamic graph cuts" of Kohli & Torr (ICCV
+//! 2005), with the tree-reuse step modelled on
+//! `maxflow_reuse_trees_init` of Kolmogorov's maxflow v3.
 //!
-//! * a **capacity increase** (weight raise growing `|b·w|`, a new
-//!   constraint arc, the `INF` sink arc of a freeze) keeps the current
-//!   flow feasible — nothing to repair;
-//! * a **capacity decrease below the current flow** (a freeze removing
-//!   a positive gain arc; in general any gain shrink or sign flip) is
-//!   repaired locally: the overflow is cancelled along flow-carrying
-//!   paths — downstream to the sink for source-side arcs, upstream to
-//!   the source for sink-side arcs — which flow conservation
-//!   guarantees exist (the cancelled units belong to source→sink paths
-//!   of the flow decomposition through that arc).
+//! # Terminal arcs as one signed residual
 //!
-//! With the flow feasible again, Dinic's phases **resume from the
-//! repaired residual** instead of zero flow, and the closure is
-//! re-extracted from the new maximum flow. When a delta batch dirties
-//! more than `rebuild_percent` percent of the vertices the engine
-//! falls back to a fresh build, and when no deltas are pending — the
-//! common case right after a commit, which leaves the constraint
-//! system untouched — the previous member list is served from cache
-//! without touching a single arc.
+//! There are no source or sink nodes. Each vertex `v` carries one
+//! signed terminal residual `tr_cap[v]`: positive is residual capacity
+//! from the source, negative is residual capacity to the sink. Its
+//! encoded terminal capacity `c(v)` is the gain `b(v)·w(v)` (the
+//! source arc when positive, the sink arc when negative), `-INF` once
+//! `v` is frozen, and `0` for the host. A delta that moves `c(v)` by Δ
+//! moves `tr_cap[v]` by the same Δ. This is Kohli–Torr
+//! reparameterization: lowering a terminal capacity below the flow it
+//! carries is the same as raising the *other* terminal arc of `v` by a
+//! constant, and adding one constant to both terminal arcs of `v`
+//! moves every s–t cut by that constant. The minimum cuts stay where
+//! they are and no flow is ever cancelled.
+//!
+//! # Repair at the next selection
+//!
+//! [`IncrementalClosure::select`] consumes the constraint system's
+//! append-only change log ([`ConstraintSystem::gain_log`],
+//! [`ConstraintSystem::arc_log`]) and repairs the trees:
+//!
+//! * a vertex whose residual changed is re-rooted at its terminal
+//!   (source tree when positive, sink tree when negative), or orphaned
+//!   when the residual is now 0;
+//! * a vertex that switches trees orphans its children and activates
+//!   the neighbours of the other tree that have residual toward it;
+//! * a new constraint arc only activates its two endpoints: a capacity
+//!   increase never breaks a tree arc.
+//!
+//! Then BK's grow / augment / adopt loop runs as usual, with its
+//! timestamp/distance adoption heuristic. A call with no pending delta
+//! serves the cached member list without touching an arc.
 //!
 //! # Why the result is bit-identical to the from-scratch engine
 //!
 //! Both engines implement the canonical closure-selection rule of
 //! [`crate::closure`]: *the inclusion-minimal maximum-gain closed set*,
-//! extracted as the source-reachable side of the residual graph of a
-//! maximum flow, listed in ascending vertex order. A maximum flow is
-//! not unique, but by the Picard–Queyranne structure of minimum cuts
-//! the residual source-reachable set is the same for **every** maximum
-//! flow of the same capacitated network. The warm residual describes
-//! the same capacities as a fresh build (cancelled arcs end at zero
-//! flow and capacity-0 arcs are invisible to reachability), and
-//! `resume` drives it to *a* maximum flow — hence the extracted member
-//! list is identical to the fresh engine's, and the solver's
-//! `debug_assert!` differential oracle plus the property suite in
-//! `tests/properties.rs` verify exactly that on every debug-mode call.
+//! the residual source-reachable set of a maximum flow, listed in
+//! ascending vertex order. By the Picard–Queyranne structure of minimum
+//! cuts that set is the same for every maximum flow, and
+//! reparameterization does not move the minimum cuts.
+//!
+//! When BK stops there is no active vertex and no orphan. Every vertex
+//! with `tr_cap > 0` is a source-tree root, and every source-tree
+//! vertex reaches its root through unsaturated tree arcs, so the source
+//! tree lies inside the residual source-reachable set. The source tree
+//! is also closed under residual arcs: a passive source-tree vertex
+//! with residual toward a free vertex would have grown into it, and
+//! residual toward a sink-tree vertex would be an augmenting path.
+//! Hence the final source tree *is* the residual source-reachable set,
+//! and [`IncrementalClosure::select`] lists it directly. The solver's
+//! `debug_assert!` differential oracle and the property suites here and
+//! in `tests/properties.rs` check exactly that.
 
+use std::collections::VecDeque;
 use std::time::Instant;
 
 use retime::VertexId;
@@ -58,32 +77,27 @@ use crate::perf::PerfCounters;
 
 const INF: i64 = i64::MAX / 4;
 
-/// Default rebuild threshold of the warm engine, in percent of `|V|`.
-pub const DEFAULT_REBUILD_PERCENT: u32 = 50;
+/// `parent` sentinels: not in either tree, attached to its terminal,
+/// and waiting for adoption. Any other value is the arc from the vertex
+/// to its parent.
+const FREE: u32 = u32::MAX;
+const TERMINAL: u32 = u32::MAX - 1;
+const ORPHAN: u32 = u32::MAX - 2;
+
+/// "No path to a terminal" in the adoption distance search.
+const INFINITE_D: u32 = u32::MAX;
 
 /// Which engine the solver uses to select max-gain closed sets
 /// ([`crate::algorithm::SolverConfig::with_closure_engine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClosureEngine {
     /// Rebuild the flow network and run Dinic from zero flow on every
     /// closure call (the [`crate::closure`] baseline).
     Fresh,
-    /// Persist the residual graph across calls ([`IncrementalClosure`]),
-    /// falling back to a fresh build when a delta batch dirties more
-    /// than `rebuild_percent` percent of the vertices (`0` forces the
-    /// fallback on every delta, `100` never falls back).
-    Warm {
-        /// Dirty-vertex fallback threshold in percent of `|V|`.
-        rebuild_percent: u32,
-    },
-}
-
-impl Default for ClosureEngine {
-    fn default() -> Self {
-        ClosureEngine::Warm {
-            rebuild_percent: DEFAULT_REBUILD_PERCENT,
-        }
-    }
+    /// Keep Boykov–Kolmogorov search trees across calls
+    /// ([`IncrementalClosure`]) and repair only what each delta touches.
+    #[default]
+    Warm,
 }
 
 /// The warm-started closure engine (see the module docs for the
@@ -93,119 +107,69 @@ impl Default for ClosureEngine {
 /// solver creates one per phase); it observes mutations through the
 /// system's change log, so callers only mutate the system and call
 /// [`IncrementalClosure::select`].
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct IncrementalClosure {
-    rebuild_percent: u32,
     built: bool,
-    /// Constraint-system vertices, including the host. Network nodes
-    /// are `0..n` = vertices, `n` = source, `n + 1` = sink.
+    /// Constraint-system vertices, including the host.
     n: usize,
-    // Paired-edge residual network: forward arcs at even ids, their
-    // reverse at odd ids (`e ^ 1`), like the from-scratch Dinic.
-    to: Vec<u32>,
-    cap: Vec<i64>,
+    // Paired-arc residual network over the constraint arcs: forward
+    // arcs at even ids, their reverse at odd ids (`a ^ 1`).
+    head: Vec<u32>,
+    r_cap: Vec<i64>,
     adj: Vec<Vec<u32>>,
-    level: Vec<i32>,
-    iter: Vec<usize>,
-    /// Edge id of the source→v arc (-1 = not created yet).
-    src_edge: Vec<i32>,
-    /// Edge id of the v→sink arc (-1 = not created yet).
-    snk_edge: Vec<i32>,
-    /// The gain `b(v)·w(v)` currently encoded in the capacities.
-    gain: Vec<i64>,
-    frozen: Vec<bool>,
-    total_positive: i64,
-    flow: i64,
+    /// The terminal capacity `c(v)` currently encoded in `tr_cap`.
+    terminal: Vec<i64>,
+    /// Signed terminal residual: `> 0` from the source, `< 0` to the sink.
+    tr_cap: Vec<i64>,
+    /// Arc to the tree parent, or [`FREE`] / [`TERMINAL`] / [`ORPHAN`].
+    parent: Vec<u32>,
+    is_sink: Vec<bool>,
+    /// Adoption heuristic: when `dist` (tree depth) was last known exact.
+    ts: Vec<u64>,
+    dist: Vec<u32>,
+    time: u64,
+    active: Vec<bool>,
+    queue: VecDeque<u32>,
+    /// Orphans awaiting adoption: an augmentation's nearest its
+    /// terminal first, the ones freed parents leave behind last.
+    orphans: VecDeque<u32>,
+    /// Vertices whose `tr_cap` changed since the last repair.
+    changed: Vec<u32>,
+    marked: Vec<bool>,
     arc_cursor: usize,
     gain_cursor: usize,
     cached: Vec<VertexId>,
-    /// Membership bitset over `cached` (indexed by vertex), kept in
-    /// sync by [`IncrementalClosure::extract`]; the delta classifier of
-    /// the provably-unchanged-cut fast path queries it.
-    in_cut: Vec<bool>,
     touched: u64,
-    scratch: Vec<u32>,
 }
 
 impl IncrementalClosure {
-    /// Creates an engine with the given rebuild threshold (percent of
-    /// `|V|`; see [`ClosureEngine::Warm`]). The network is built lazily
-    /// on the first [`IncrementalClosure::select`].
-    pub fn new(rebuild_percent: u32) -> Self {
-        Self {
-            rebuild_percent,
-            built: false,
-            n: 0,
-            to: Vec::new(),
-            cap: Vec::new(),
-            adj: Vec::new(),
-            level: Vec::new(),
-            iter: Vec::new(),
-            src_edge: Vec::new(),
-            snk_edge: Vec::new(),
-            gain: Vec::new(),
-            frozen: Vec::new(),
-            total_positive: 0,
-            flow: 0,
-            arc_cursor: 0,
-            gain_cursor: 0,
-            cached: Vec::new(),
-            in_cut: Vec::new(),
-            touched: 0,
-            scratch: Vec::new(),
-        }
+    /// Creates an engine. The network is built lazily on the first
+    /// [`IncrementalClosure::select`].
+    pub fn new() -> Self {
+        Self::default()
     }
 
     /// Returns the canonical maximum-gain closed set of `system`,
     /// bit-identical to [`ConstraintSystem::max_gain_closed_set`].
     ///
     /// Applies every change-log delta recorded since the previous call,
-    /// repairs and resumes the persistent residual (or rebuilds past
-    /// the threshold), and updates `perf` (`closure_calls`,
-    /// `closure_arcs_touched`, `closure_fallback_full`,
-    /// `closure_warm_nanos`).
+    /// repairs the search trees and finishes the maximum flow, and
+    /// updates `perf` (`closure_calls`, `closure_arcs_touched`,
+    /// `closure_warm_nanos`, `member_clone_bytes`).
     pub fn select(&mut self, system: &ConstraintSystem, perf: &mut PerfCounters) -> Vec<VertexId> {
         let t0 = Instant::now();
         self.touched = 0;
         perf.closure_calls += 1;
         if !self.built {
-            self.rebuild(system);
-        } else {
-            let pending_arcs = system.arc_log().len() - self.arc_cursor;
-            let pending_gains = system.gain_log().len() - self.gain_cursor;
-            if pending_arcs + pending_gains > 0 {
-                self.scratch.clear();
-                self.scratch
-                    .extend_from_slice(&system.gain_log()[self.gain_cursor..]);
-                for &(p, q) in &system.arc_log()[self.arc_cursor..] {
-                    self.scratch.push(p);
-                    self.scratch.push(q);
-                }
-                self.scratch.sort_unstable();
-                self.scratch.dedup();
-                if self.cut_provably_unchanged(system) {
-                    // Every pending delta is a sink-side capacity
-                    // increase on a non-member or a constraint arc that
-                    // cannot reach a new vertex from the source side:
-                    // the maximum flow, the minimum cut and the
-                    // source-reachable set are all provably unchanged
-                    // (see the module docs), so the deltas are folded
-                    // into the residual and the cached member list is
-                    // served without a resume or re-extraction.
-                    self.apply_deltas(system);
-                    perf.closure_skips += 1;
-                } else if self.scratch.len() * 100 > self.rebuild_percent as usize * self.n {
-                    perf.closure_fallback_full += 1;
-                    self.rebuild(system);
-                } else {
-                    self.apply_deltas(system);
-                    self.resume();
-                    self.extract();
-                }
-            }
-            // No pending deltas: the previous extraction is still exact
-            // (the system — hence the network — is unchanged), so the
-            // cached member list is served without touching any arc.
+            self.build(system);
+        }
+        self.apply_deltas(system);
+        // No pending delta: the system (hence the network) is
+        // unchanged, so the previous extraction is still exact.
+        if !self.changed.is_empty() || !self.queue.is_empty() {
+            self.repair();
+            self.maxflow();
+            self.extract();
         }
         perf.closure_arcs_touched += self.touched;
         perf.closure_warm_nanos += t0.elapsed().as_nanos() as u64;
@@ -213,440 +177,420 @@ impl IncrementalClosure {
         self.cached.clone()
     }
 
-    fn source(&self) -> usize {
-        self.n
-    }
-
-    fn sink(&self) -> usize {
-        self.n + 1
-    }
-
-    /// Fresh build: the same network the from-scratch engine
-    /// constructs, followed by a full Dinic run and extraction.
-    fn rebuild(&mut self, system: &ConstraintSystem) {
+    /// Sizes the per-vertex state for `system` with every vertex free
+    /// and every terminal capacity 0, and queues every vertex's real
+    /// capacity as a delta, so the first repair plants the trees.
+    fn build(&mut self, system: &ConstraintSystem) {
         let n = system.len();
         self.n = n;
-        let nodes = n + 2;
-        // Right-size up front and reuse every buffer's capacity (and
-        // the adjacency lists' inner allocations) across rebuilds — on
-        // 10k+-vertex networks the warm engine's full-rebuild fallback
-        // would otherwise re-allocate the whole residual each time.
-        let edge_estimate = 2 * (n + system.arc_log().len());
-        self.to.clear();
-        self.to.reserve(edge_estimate);
-        self.cap.clear();
-        self.cap.reserve(edge_estimate);
-        for a in self.adj.iter_mut() {
-            a.clear();
-        }
-        self.adj.resize_with(nodes, Vec::new);
-        self.level.clear();
-        self.level.resize(nodes, -1);
-        self.iter.clear();
-        self.iter.resize(nodes, 0);
-        self.src_edge.clear();
-        self.src_edge.resize(n, -1);
-        self.snk_edge.clear();
-        self.snk_edge.resize(n, -1);
-        self.gain.clear();
-        self.gain.resize(n, 0);
-        self.frozen.clear();
-        self.frozen.resize(n, false);
-        self.frozen[0] = true;
-        self.total_positive = 0;
-        self.flow = 0;
-        let (s, t) = (self.source(), self.sink());
+        self.adj.resize_with(n, Vec::new);
+        self.terminal.resize(n, 0);
+        self.tr_cap.resize(n, 0);
+        self.parent.resize(n, FREE);
+        self.is_sink.resize(n, false);
+        self.ts.resize(n, 0);
+        self.dist.resize(n, 0);
+        self.active.resize(n, false);
+        self.marked.resize(n, false);
+        let arcs = system.arc_log().len();
+        self.head.reserve(2 * arcs);
+        self.r_cap.reserve(2 * arcs);
         for v in 1..n {
-            let v_id = VertexId::new(v);
-            if system.is_frozen(v_id) {
-                self.frozen[v] = true;
-                self.snk_edge[v] = self.add_edge(v, t, INF) as i32;
-                continue;
-            }
-            let g = system.gain(v_id);
-            self.gain[v] = g;
-            if g > 0 {
-                self.src_edge[v] = self.add_edge(s, v, g) as i32;
-                self.total_positive += g;
-            } else if g < 0 {
-                self.snk_edge[v] = self.add_edge(v, t, -g) as i32;
-            }
+            self.set_terminal(v, terminal_capacity(system, v));
         }
-        for &(p, q) in system.arc_log() {
-            self.add_edge(p as usize, q as usize, INF);
-        }
-        self.arc_cursor = system.arc_log().len();
-        self.gain_cursor = system.gain_log().len();
         self.built = true;
-        self.resume();
-        self.extract();
     }
 
-    /// Classifies the pending change-log deltas: `true` iff **every**
-    /// one of them provably leaves the maximum flow, the minimum cut
-    /// and the residual source-reachable set untouched, so
-    /// [`IncrementalClosure::select`] may fold them into the residual
-    /// and serve the cached member list without a resume or
-    /// re-extraction. The safe cases:
-    ///
-    /// * a gain decrease `g_new < g_old ≤ 0` on a non-member — a pure
-    ///   sink-arc capacity increase on a vertex the source cannot
-    ///   reach, so no augmenting path can appear and reachability is
-    ///   unchanged;
-    /// * a freeze of a non-member with `g_old ≤ 0` — the same, with
-    ///   the sink cap going to `INF`;
-    /// * a redundant state change on an already-frozen vertex (the
-    ///   engine ignores it entirely);
-    /// * a constraint arc `p → q` whose tail is a non-member (the
-    ///   source cannot reach `p`, so the `INF` arc adds no
-    ///   reachability), or whose endpoints are **both** members (`q` is
-    ///   already reachable, and `q` has no residual path to the sink —
-    ///   otherwise the previous flow was not maximum — so the arc
-    ///   creates no augmenting path either).
-    ///
-    /// Anything touching a source-side capacity, shrinking a sink cap
-    /// (which may force a flow cancellation), or reaching a new vertex
-    /// is conservatively classified as unsafe. The solver's debug-mode
-    /// differential oracle re-derives every served member list from
-    /// scratch, guarding exactly this proof.
-    fn cut_provably_unchanged(&self, system: &ConstraintSystem) -> bool {
+    /// Folds the pending change-log deltas into the residual and
+    /// advances the cursors: each logged vertex's terminal capacity is
+    /// re-read from `system`, and each new constraint arc is added with
+    /// its endpoints activated.
+    fn apply_deltas(&mut self, system: &ConstraintSystem) {
         for &v in &system.gain_log()[self.gain_cursor..] {
             let v = v as usize;
-            if self.frozen[v] {
-                continue; // permanent; the engine ignores later changes
-            }
-            if self.in_cut[v] {
-                return false; // any cap change on a member can move flow
-            }
-            let g_old = self.gain[v];
-            if g_old > 0 {
-                return false; // source-side capacity is involved
-            }
-            let v_id = VertexId::new(v);
-            if system.is_frozen(v_id) {
-                continue; // sink cap INF: a pure increase on a non-member
-            }
-            let g_new = system.gain(v_id);
-            if g_new > g_old {
-                return false; // sink cap shrink (or sign flip): may cancel
-            }
+            self.set_terminal(v, terminal_capacity(system, v));
         }
+        self.gain_cursor = system.gain_log().len();
         for &(p, q) in &system.arc_log()[self.arc_cursor..] {
-            if self.in_cut[p as usize] && !self.in_cut[q as usize] {
-                return false; // the INF arc pulls q into the reachable set
-            }
-        }
-        true
-    }
-
-    /// Applies the pending change-log deltas (the dirty vertices are
-    /// already collected in `scratch`) and advances the cursors.
-    fn apply_deltas(&mut self, system: &ConstraintSystem) {
-        let dirty = std::mem::take(&mut self.scratch);
-        for &v in &dirty {
-            self.apply_vertex_state(system, v as usize);
-        }
-        self.scratch = dirty;
-        for i in self.arc_cursor..system.arc_log().len() {
-            let (p, q) = system.arc_log()[i];
-            self.add_edge(p as usize, q as usize, INF);
+            self.add_arc(p as usize, q as usize);
+            self.set_active(p as usize);
+            self.set_active(q as usize);
         }
         self.arc_cursor = system.arc_log().len();
-        self.gain_cursor = system.gain_log().len();
     }
 
-    /// Reconciles one vertex's source/sink capacities with its current
-    /// state in the system (no-op when nothing effectively changed).
-    fn apply_vertex_state(&mut self, system: &ConstraintSystem, v: usize) {
-        if self.frozen[v] {
-            return; // freezes are permanent; gains of frozen vertices are ignored
+    /// Moves the encoded terminal capacity of `v` to `c`, shifting its
+    /// signed residual by the same amount (reparameterization), and
+    /// marks `v` for the next repair.
+    fn set_terminal(&mut self, v: usize, c: i64) {
+        let delta = c - self.terminal[v];
+        if delta == 0 {
+            return;
         }
-        let v_id = VertexId::new(v);
-        if system.is_frozen(v_id) {
-            let g = self.gain[v];
-            if g > 0 {
-                self.total_positive -= g;
-                self.set_source_cap(v, 0);
-            }
-            self.set_sink_cap(v, INF);
-            self.frozen[v] = true;
-            self.gain[v] = 0;
-        } else {
-            let g_new = system.gain(v_id);
-            let g_old = self.gain[v];
-            if g_new == g_old {
-                return;
-            }
-            self.total_positive += g_new.max(0) - g_old.max(0);
-            if g_old > 0 || g_new > 0 {
-                self.set_source_cap(v, g_new.max(0));
-            }
-            if g_old < 0 || g_new < 0 {
-                self.set_sink_cap(v, (-g_new).max(0));
-            }
-            self.gain[v] = g_new;
+        self.terminal[v] = c;
+        self.tr_cap[v] += delta;
+        if !self.marked[v] {
+            self.marked[v] = true;
+            self.changed.push(v as u32);
         }
     }
 
-    fn add_edge(&mut self, from: usize, to: usize, cap: i64) -> u32 {
+    fn add_arc(&mut self, from: usize, to: usize) {
         self.touched += 1;
-        let id = self.to.len() as u32;
+        let id = self.head.len() as u32;
         self.adj[from].push(id);
-        self.to.push(to as u32);
-        self.cap.push(cap);
+        self.head.push(to as u32);
+        self.r_cap.push(INF);
         self.adj[to].push(id + 1);
-        self.to.push(from as u32);
-        self.cap.push(0);
-        id
+        self.head.push(from as u32);
+        self.r_cap.push(0);
     }
 
-    fn ensure_src_edge(&mut self, v: usize) -> usize {
-        if self.src_edge[v] < 0 {
-            let s = self.source();
-            self.src_edge[v] = self.add_edge(s, v, 0) as i32;
-        }
-        self.src_edge[v] as usize
-    }
-
-    fn ensure_snk_edge(&mut self, v: usize) -> usize {
-        if self.snk_edge[v] < 0 {
-            let t = self.sink();
-            self.snk_edge[v] = self.add_edge(v, t, 0) as i32;
-        }
-        self.snk_edge[v] as usize
-    }
-
-    /// Sets the total capacity of the source→v arc to `target`. When
-    /// the arc's current flow exceeds `target`, the overflow is
-    /// cancelled downstream (v ⇝ sink along flow-carrying arcs) first.
-    fn set_source_cap(&mut self, v: usize, target: i64) {
-        let e = self.ensure_src_edge(v);
-        self.touched += 1;
-        let flow_on = self.cap[e ^ 1];
-        if target >= flow_on {
-            self.cap[e] = target - flow_on;
-        } else {
-            let excess = flow_on - target;
-            self.cancel(v, excess, true);
-            self.cap[e ^ 1] = target;
-            self.cap[e] = 0;
-            self.flow -= excess;
+    fn set_active(&mut self, v: usize) {
+        if !self.active[v] {
+            self.active[v] = true;
+            self.queue.push_back(v as u32);
         }
     }
 
-    /// Sets the total capacity of the v→sink arc to `target`. When the
-    /// arc's current flow exceeds `target`, the overflow is cancelled
-    /// upstream (v ⇝ source backward along flow-carrying arcs) first.
-    fn set_sink_cap(&mut self, v: usize, target: i64) {
-        let e = self.ensure_snk_edge(v);
-        self.touched += 1;
-        let flow_on = self.cap[e ^ 1];
-        if target >= flow_on {
-            self.cap[e] = target - flow_on;
-        } else {
-            let excess = flow_on - target;
-            self.cancel(v, excess, false);
-            self.cap[e ^ 1] = target;
-            self.cap[e] = 0;
-            self.flow -= excess;
-        }
-    }
-
-    /// Cancels `amount` units of flow through `start`: `downstream`
-    /// follows flow-carrying forward arcs to the sink (restoring
-    /// conservation after a source-side inflow cut), otherwise
-    /// flow-carrying arcs are walked backward to the source (after a
-    /// sink-side outflow cut). Flow decomposition guarantees the paths
-    /// exist; see the module docs.
-    fn cancel(&mut self, start: usize, mut amount: i64, downstream: bool) {
-        let target = if downstream {
-            self.sink()
-        } else {
-            self.source()
-        };
-        while amount > 0 {
-            let path = self
-                .find_flow_path(start, target, downstream)
-                .expect("flow conservation guarantees a cancellation path");
-            let mut step = amount;
-            for &e in &path {
-                let carried = if downstream {
-                    self.cap[(e ^ 1) as usize]
-                } else {
-                    self.cap[e as usize]
-                };
-                step = step.min(carried);
+    /// The next active vertex that is still in a tree.
+    fn next_active(&mut self) -> Option<usize> {
+        while let Some(v) = self.queue.pop_front() {
+            let v = v as usize;
+            self.active[v] = false;
+            if self.parent[v] != FREE {
+                return Some(v);
             }
-            debug_assert!(step > 0);
-            for &e in &path {
-                if downstream {
-                    self.cap[e as usize] += step;
-                    self.cap[(e ^ 1) as usize] -= step;
-                } else {
-                    self.cap[e as usize] -= step;
-                    self.cap[(e ^ 1) as usize] += step;
-                }
-            }
-            amount -= step;
-        }
-    }
-
-    /// DFS for a simple path of flow-carrying arcs from `start` to
-    /// `target`. Downstream paths use forward arcs (even ids) whose
-    /// reverse residual — the flow — is positive; upstream paths use
-    /// reverse arcs (odd ids) whose own residual is the paired forward
-    /// arc's flow.
-    fn find_flow_path(
-        &mut self,
-        start: usize,
-        target: usize,
-        downstream: bool,
-    ) -> Option<Vec<u32>> {
-        let mut visited = vec![false; self.adj.len()];
-        visited[start] = true;
-        let mut stack: Vec<(usize, usize)> = vec![(start, 0)];
-        let mut path: Vec<u32> = Vec::new();
-        while let Some(&(node, idx)) = stack.last() {
-            if idx >= self.adj[node].len() {
-                stack.pop();
-                path.pop();
-                continue;
-            }
-            stack.last_mut().expect("non-empty stack").1 += 1;
-            let e = self.adj[node][idx];
-            self.touched += 1;
-            let usable = if downstream {
-                e.is_multiple_of(2) && self.cap[(e ^ 1) as usize] > 0
-            } else {
-                !e.is_multiple_of(2) && self.cap[e as usize] > 0
-            };
-            if !usable {
-                continue;
-            }
-            let next = self.to[e as usize] as usize;
-            if visited[next] {
-                continue;
-            }
-            visited[next] = true;
-            path.push(e);
-            if next == target {
-                return Some(path);
-            }
-            stack.push((next, 0));
         }
         None
     }
 
-    /// Resumes Dinic's phases from the current (feasible) residual
-    /// until no augmenting path remains.
-    fn resume(&mut self) {
-        let (s, t) = (self.source(), self.sink());
-        while self.bfs(s, t) {
-            self.iter.fill(0);
-            loop {
-                let f = self.dfs(s, t, INF);
-                if f == 0 {
-                    break;
+    fn set_orphan_front(&mut self, v: usize) {
+        self.parent[v] = ORPHAN;
+        self.orphans.push_front(v as u32);
+    }
+
+    fn set_orphan_rear(&mut self, v: usize) {
+        self.parent[v] = ORPHAN;
+        self.orphans.push_back(v as u32);
+    }
+
+    /// Re-roots every changed vertex at its terminal (or orphans it when
+    /// its residual is now 0), fixes up the neighbourhood of every
+    /// vertex that switched trees, and runs adoption.
+    fn repair(&mut self) {
+        self.time += 1;
+        let changed = std::mem::take(&mut self.changed);
+        for &i in &changed {
+            let i = i as usize;
+            self.marked[i] = false;
+            self.set_active(i);
+            let t = self.tr_cap[i];
+            if t == 0 {
+                if self.parent[i] != FREE {
+                    self.set_orphan_rear(i);
                 }
-                self.flow += f;
+                continue;
+            }
+            let to_sink = t < 0;
+            if self.parent[i] == FREE || self.is_sink[i] != to_sink {
+                self.is_sink[i] = to_sink;
+                for k in 0..self.adj[i].len() {
+                    let a = self.adj[i][k] as usize;
+                    let j = self.head[a] as usize;
+                    self.touched += 1;
+                    if self.marked[j] {
+                        continue; // re-rooted or orphaned by its own turn
+                    }
+                    if self.parent[j] == (a ^ 1) as u32 {
+                        self.set_orphan_rear(j);
+                    }
+                    // Residual between `i` and `j`, in the other tree,
+                    // in the direction `i`'s new tree grows: an
+                    // augmenting path that `j` must get to look at.
+                    if self.parent[j] != FREE
+                        && self.is_sink[j] != to_sink
+                        && self.outward(a, to_sink) > 0
+                    {
+                        self.set_active(j);
+                    }
+                }
+            }
+            self.parent[i] = TERMINAL;
+            self.ts[i] = self.time;
+            self.dist[i] = 1;
+        }
+        self.changed = changed;
+        self.changed.clear();
+        self.adopt();
+    }
+
+    /// BK's main loop: grow the trees from active vertices, augment
+    /// along every source-to-sink path found, adopt the orphans.
+    fn maxflow(&mut self) {
+        let mut current: Option<usize> = None;
+        loop {
+            // After an augmentation the same vertex is scanned again
+            // while it stays in a tree.
+            let i = match current.take() {
+                Some(i) => {
+                    self.active[i] = false;
+                    Some(i).filter(|&i| self.parent[i] != FREE)
+                }
+                None => None,
+            };
+            let Some(i) = i.or_else(|| self.next_active()) else {
+                break;
+            };
+            let middle = self.grow(i);
+            self.time += 1;
+            if let Some(a) = middle {
+                // Keep `i` flagged so adoption does not queue it twice.
+                self.active[i] = true;
+                current = Some(i);
+                self.augment(a);
+                self.adopt();
             }
         }
     }
 
-    fn bfs(&mut self, s: usize, t: usize) -> bool {
-        self.level.fill(-1);
-        let mut queue = std::collections::VecDeque::new();
-        self.level[s] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            // No shortest augmenting path leaves a node at or past the
-            // sink's level, so the level graph is complete here.
-            if self.level[t] >= 0 && self.level[v] >= self.level[t] {
+    /// Residual along arc `a` in the direction the tree of `sink`
+    /// grows: from the tail to the head of `a` in the source tree, from
+    /// the head to the tail in the sink tree.
+    fn outward(&self, a: usize, sink: bool) -> i64 {
+        if sink {
+            self.r_cap[a ^ 1]
+        } else {
+            self.r_cap[a]
+        }
+    }
+
+    /// Grows `i`'s tree into its free neighbours; returns the arc from
+    /// the source tree to the sink tree when one is reached.
+    fn grow(&mut self, i: usize) -> Option<usize> {
+        let sink = self.is_sink[i];
+        for k in 0..self.adj[i].len() {
+            let a = self.adj[i][k] as usize;
+            self.touched += 1;
+            if self.outward(a, sink) == 0 {
+                continue;
+            }
+            let j = self.head[a] as usize;
+            if self.parent[j] == FREE {
+                self.is_sink[j] = sink;
+                self.attach(j, a ^ 1, i);
+                self.set_active(j);
+            } else if self.is_sink[j] != sink {
+                return Some(if sink { a ^ 1 } else { a });
+            } else if self.ts[j] <= self.ts[i] && self.dist[j] > self.dist[i] {
+                // Heuristic: shorten j's path to its terminal.
+                self.attach(j, a ^ 1, i);
+            }
+        }
+        None
+    }
+
+    /// Makes `i` (through arc `a` from `j` to `i`) the tree parent of `j`.
+    fn attach(&mut self, j: usize, a: usize, i: usize) {
+        self.parent[j] = a as u32;
+        self.ts[j] = self.ts[i];
+        self.dist[j] = self.dist[i] + 1;
+    }
+
+    /// Pushes the bottleneck along the path through `middle` (an arc
+    /// from a source-tree vertex to a sink-tree vertex), orphaning every
+    /// vertex whose tree arc or terminal residual it saturates.
+    fn augment(&mut self, middle: usize) {
+        let (tail, head) = (self.head[middle ^ 1] as usize, self.head[middle] as usize);
+        let bottleneck = self.r_cap[middle]
+            .min(self.path_bottleneck(tail, false))
+            .min(self.path_bottleneck(head, true));
+        debug_assert!(bottleneck > 0);
+        self.r_cap[middle] -= bottleneck;
+        self.r_cap[middle ^ 1] += bottleneck;
+        self.push_to_terminal(tail, bottleneck, false);
+        self.push_to_terminal(head, bottleneck, true);
+    }
+
+    /// The least residual on `i`'s tree path to its terminal, the
+    /// terminal residual included.
+    fn path_bottleneck(&self, mut i: usize, sink: bool) -> i64 {
+        let mut bottleneck = i64::MAX;
+        loop {
+            let a = self.parent[i];
+            if a == TERMINAL {
+                let terminal = if sink {
+                    -self.tr_cap[i]
+                } else {
+                    self.tr_cap[i]
+                };
+                return bottleneck.min(terminal);
+            }
+            let a = a as usize;
+            bottleneck = bottleneck.min(self.outward(a ^ 1, sink));
+            i = self.head[a] as usize;
+        }
+    }
+
+    /// Moves `amount` units along `i`'s tree path between it and its
+    /// terminal (from the source down to `i`, or from `i` up to the
+    /// sink), orphaning each vertex whose tree arc or terminal residual
+    /// saturates, nearest the terminal first in the queue.
+    fn push_to_terminal(&mut self, mut i: usize, amount: i64, sink: bool) {
+        loop {
+            let a = self.parent[i];
+            if a == TERMINAL {
                 break;
             }
-            self.touched += self.adj[v].len() as u64;
-            for &e in &self.adj[v] {
-                let u = self.to[e as usize] as usize;
-                if self.cap[e as usize] > 0 && self.level[u] < 0 {
-                    self.level[u] = self.level[v] + 1;
-                    queue.push_back(u);
-                }
-            }
-        }
-        self.level[t] >= 0
-    }
-
-    fn dfs(&mut self, v: usize, t: usize, f: i64) -> i64 {
-        if v == t {
-            return f;
-        }
-        while self.iter[v] < self.adj[v].len() {
-            let e = self.adj[v][self.iter[v]] as usize;
-            let u = self.to[e] as usize;
+            let a = a as usize;
+            // The flow runs along `a` (child to parent) in the sink
+            // tree and along its reverse in the source tree.
+            let along = if sink { a } else { a ^ 1 };
             self.touched += 1;
-            if self.cap[e] > 0 && self.level[u] == self.level[v] + 1 {
-                let d = self.dfs(u, t, f.min(self.cap[e]));
-                if d > 0 {
-                    self.cap[e] -= d;
-                    self.cap[e ^ 1] += d;
-                    return d;
-                }
+            self.r_cap[along] -= amount;
+            self.r_cap[along ^ 1] += amount;
+            if self.r_cap[along] == 0 {
+                self.set_orphan_front(i);
             }
-            self.iter[v] += 1;
+            i = self.head[a] as usize;
         }
-        0
+        self.tr_cap[i] += if sink { amount } else { -amount };
+        if self.tr_cap[i] == 0 {
+            self.set_orphan_front(i);
+        }
     }
 
-    /// Re-extracts the canonical closure into the cache. `resume`'s
-    /// last BFS failed to reach the sink, so its labels mark exactly
-    /// the residual source-reachable set of the maximum flow.
-    fn extract(&mut self) {
-        debug_assert!(self.level[self.sink()] < 0, "extract needs a maximum flow");
-        self.cached.clear();
-        self.in_cut.clear();
-        self.in_cut.resize(self.n, false);
-        if self.flow >= self.total_positive {
-            return; // best closure has gain <= 0 (or no positive gain at all)
+    /// Processes orphans until none is left.
+    fn adopt(&mut self) {
+        while let Some(i) = self.orphans.pop_front() {
+            self.process_orphan(i as usize);
         }
+    }
+
+    /// Finds orphan `i` a new parent in its own tree — the neighbour with
+    /// residual in the tree's direction toward `i` and the shortest
+    /// known path to the terminal — or frees it: then its children
+    /// become orphans and the same-tree neighbours that could grow back
+    /// into it become active.
+    fn process_orphan(&mut self, i: usize) {
+        let sink = self.is_sink[i];
+        let mut best = FREE;
+        let mut d_min = INFINITE_D;
+        for k in 0..self.adj[i].len() {
+            let a0 = self.adj[i][k] as usize;
+            self.touched += 1;
+            if self.outward(a0 ^ 1, sink) == 0 {
+                continue;
+            }
+            let j0 = self.head[a0] as usize;
+            if self.is_sink[j0] != sink || self.parent[j0] == FREE {
+                continue;
+            }
+            let mut d = self.distance_to_terminal(j0);
+            if d < INFINITE_D {
+                if d < d_min {
+                    best = a0 as u32;
+                    d_min = d;
+                }
+                // Stamp the exact distances along the path.
+                let mut j = j0;
+                while self.ts[j] != self.time {
+                    self.ts[j] = self.time;
+                    self.dist[j] = d;
+                    d -= 1;
+                    j = self.head[self.parent[j] as usize] as usize;
+                }
+            }
+        }
+        if best != FREE {
+            self.parent[i] = best;
+            self.ts[i] = self.time;
+            self.dist[i] = d_min + 1;
+            return;
+        }
+        self.parent[i] = FREE;
+        for k in 0..self.adj[i].len() {
+            let a0 = self.adj[i][k] as usize;
+            let j = self.head[a0] as usize;
+            self.touched += 1;
+            let a = self.parent[j];
+            if self.is_sink[j] != sink || a == FREE {
+                continue;
+            }
+            if self.outward(a0 ^ 1, sink) > 0 {
+                self.set_active(j);
+            }
+            if a != TERMINAL && a != ORPHAN && self.head[a as usize] as usize == i {
+                self.set_orphan_rear(j);
+            }
+        }
+    }
+
+    /// Length of `j`'s tree path to its terminal ([`INFINITE_D`] when it
+    /// runs into an orphan), using the distances stamped this round.
+    fn distance_to_terminal(&mut self, mut j: usize) -> u32 {
+        let mut d = 0;
+        loop {
+            if self.ts[j] == self.time {
+                return d + self.dist[j];
+            }
+            let a = self.parent[j];
+            d += 1;
+            if a == TERMINAL {
+                self.ts[j] = self.time;
+                self.dist[j] = 1;
+                return d;
+            }
+            if a == ORPHAN {
+                return INFINITE_D;
+            }
+            j = self.head[a as usize] as usize;
+        }
+    }
+
+    /// Lists the source tree, which at termination is the residual
+    /// source-reachable set (see the module docs), in ascending order.
+    fn extract(&mut self) {
+        self.cached.clear();
         for v in 1..self.n {
-            if self.level[v] >= 0 {
-                self.in_cut[v] = true;
+            if self.parent[v] != FREE && !self.is_sink[v] {
                 self.cached.push(VertexId::new(v));
             }
         }
     }
 
-    /// Test hook: overrides the encoded gain of `v` directly (the
-    /// production path only ever sees the monotone raises and freezes
-    /// the change log carries; sign flips and magnitude drops are
-    /// exercised through this hook).
+    /// Test hook: overrides the encoded gain of `v` directly, after
+    /// folding in the deltas `system` logged before it. The production
+    /// path only ever sees the monotone raises and freezes the change
+    /// log carries; sign flips and magnitude drops are exercised
+    /// through this hook, and the next [`IncrementalClosure::select`]
+    /// repairs them like any delta.
     #[cfg(test)]
-    fn force_gain(&mut self, v: usize, g_new: i64) {
-        assert!(self.built && !self.frozen[v]);
-        let g_old = self.gain[v];
-        self.total_positive += g_new.max(0) - g_old.max(0);
-        if g_old > 0 || g_new > 0 {
-            self.set_source_cap(v, g_new.max(0));
-        }
-        if g_old < 0 || g_new < 0 {
-            self.set_sink_cap(v, (-g_new).max(0));
-        }
-        self.gain[v] = g_new;
+    fn force_gain(&mut self, system: &ConstraintSystem, v: usize, g: i64) {
+        self.apply_deltas(system);
+        assert!(self.built && v != 0 && self.terminal[v] != -INF);
+        self.set_terminal(v, g);
     }
+}
 
-    /// Test hook: re-optimizes after [`IncrementalClosure::force_gain`]
-    /// and returns the canonical closure.
-    #[cfg(test)]
-    fn reoptimize(&mut self) -> Vec<VertexId> {
-        self.resume();
-        self.extract();
-        self.cached.clone()
+/// The terminal capacity `c(v)` the network encodes for `v`: its gain,
+/// `-INF` (an infinite sink arc) once frozen, and 0 for the host, which
+/// has no terminal arc.
+fn terminal_capacity(system: &ConstraintSystem, v: usize) -> i64 {
+    let id = VertexId::new(v);
+    if v == 0 {
+        0
+    } else if system.is_frozen(id) {
+        -INF
+    } else {
+        system.gain(id)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn v(i: usize) -> VertexId {
         VertexId::new(i)
@@ -665,17 +609,71 @@ mod tests {
         cs.max_gain_closed_set()
     }
 
-    /// Builds a warm engine over the same instance.
-    fn warm(gains: &[i64], arcs: &[(usize, usize)]) -> (IncrementalClosure, PerfCounters) {
+    /// Builds a warm engine over the same instance; the returned system
+    /// stays unmutated, so later selections see only forced gains.
+    fn warm(gains: &[i64], arcs: &[(usize, usize)]) -> (IncrementalClosure, ConstraintSystem) {
         let mut cs = ConstraintSystem::new(gains.to_vec());
         for &(p, q) in arcs {
             cs.add_arc(v(p), v(q));
         }
-        let mut engine = IncrementalClosure::new(100);
-        let mut perf = PerfCounters::default();
-        let got = engine.select(&cs, &mut perf);
+        let mut engine = IncrementalClosure::new();
+        let got = engine.select(&cs, &mut PerfCounters::default());
         assert_eq!(got, fresh(gains, arcs, &[]), "initial build must agree");
-        (engine, perf)
+        (engine, cs)
+    }
+
+    /// Flow on the constraint arc `p → q`: the residual of its reverse.
+    fn arc_flow(e: &IncrementalClosure, p: usize, q: usize) -> i64 {
+        let a = e.adj[p]
+            .iter()
+            .map(|&a| a as usize)
+            .find(|&a| a % 2 == 0 && e.head[a] as usize == q)
+            .expect("arc exists");
+        e.r_cap[a ^ 1]
+    }
+
+    /// Checks BK's resting invariants: no active vertex or orphan left,
+    /// every non-zero terminal residual roots its tree, every tree arc
+    /// is residual in its tree's direction, and no residual arc leaves
+    /// the source tree for a free or sink-tree vertex.
+    fn assert_trees_rest(e: &IncrementalClosure) {
+        assert!(e.queue.is_empty() && e.orphans.is_empty());
+        assert!(e.changed.is_empty());
+        for u in 0..e.n {
+            assert!(!e.active[u] && !e.marked[u], "vertex {u} left flagged");
+            let p = e.parent[u];
+            assert_ne!(p, ORPHAN, "vertex {u} left orphaned");
+            let t = e.tr_cap[u];
+            if t != 0 {
+                assert_eq!(p, TERMINAL, "vertex {u} with residual {t} is not a root");
+                assert_eq!(e.is_sink[u], t < 0, "vertex {u} rooted in the wrong tree");
+            } else {
+                assert_ne!(p, TERMINAL, "vertex {u} rooted without residual");
+            }
+            if p != FREE && p != TERMINAL {
+                let a = p as usize;
+                let residual = if e.is_sink[u] {
+                    e.r_cap[a]
+                } else {
+                    e.r_cap[a ^ 1]
+                };
+                assert!(residual > 0, "saturated tree arc at {u}");
+                assert_eq!(e.is_sink[e.head[a] as usize], e.is_sink[u]);
+                assert_ne!(e.parent[e.head[a] as usize], FREE);
+            }
+            if p == FREE || e.is_sink[u] {
+                continue;
+            }
+            for &a in &e.adj[u] {
+                let j = e.head[a as usize] as usize;
+                if e.r_cap[a as usize] > 0 {
+                    assert!(
+                        e.parent[j] != FREE && !e.is_sink[j],
+                        "residual arc {u}->{j} leaves the source tree"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
@@ -683,88 +681,206 @@ mod tests {
         // v1 (gain 10) drags v2 (gain -4): flow 4 crosses the network.
         let gains = [0, 10, -4];
         let arcs = [(1, 2)];
-        let (mut engine, _) = warm(&gains, &arcs);
-        assert_eq!(engine.flow, 4);
-        // Drop v1's gain to 2 < flow 4: repair must cancel 2 units
-        // downstream, then conclude the closure is empty (2 - 4 < 0).
-        engine.force_gain(1, 2);
-        assert_eq!(engine.reoptimize(), fresh(&[0, 2, -4], &arcs, &[]));
-        assert!(engine.reoptimize().is_empty());
-        // And back up: the drained residual must accept new flow.
-        engine.force_gain(1, 9);
-        assert_eq!(engine.reoptimize(), fresh(&[0, 9, -4], &arcs, &[]));
+        let (mut engine, cs) = warm(&gains, &arcs);
+        assert_eq!(arc_flow(&engine, 1, 2), 4);
+        let mut perf = PerfCounters::default();
+        // Drop v1's gain to 2 < flow 4: reparameterization leaves v1 a
+        // sink-side residual of 2, and the closure empties (2 - 4 < 0).
+        engine.force_gain(&cs, 1, 2);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, 2, -4], &arcs, &[])
+        );
+        assert!(engine.select(&cs, &mut perf).is_empty());
+        assert_eq!(engine.tr_cap[1], -2, "no flow is cancelled");
+        // And back up: the residual must accept new flow.
+        engine.force_gain(&cs, 1, 9);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, 9, -4], &arcs, &[])
+        );
+        assert_trees_rest(&engine);
     }
 
     #[test]
     fn gain_sign_flip_migrates_arc_sides() {
         // v1 feeds flow through the chain; flipping its gain negative
-        // moves it from a source-side arc to a sink-side arc, and the
-        // previously-pushed flow must be fully cancelled.
+        // moves it from the source tree to the sink tree.
         let gains = [0, 6, -3, 4];
         let arcs = [(1, 2), (3, 2)];
-        let (mut engine, _) = warm(&gains, &arcs);
-        engine.force_gain(1, -5);
-        assert_eq!(engine.reoptimize(), fresh(&[0, -5, -3, 4], &arcs, &[]));
+        let (mut engine, cs) = warm(&gains, &arcs);
+        let mut perf = PerfCounters::default();
+        engine.force_gain(&cs, 1, -5);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, -5, -3, 4], &arcs, &[])
+        );
+        assert!(engine.is_sink[1] && engine.parent[1] == TERMINAL);
         // Flip the other way: a cost becomes a seed.
-        engine.force_gain(2, 7);
-        assert_eq!(engine.reoptimize(), fresh(&[0, -5, 7, 4], &arcs, &[]));
+        engine.force_gain(&cs, 2, 7);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, -5, 7, 4], &arcs, &[])
+        );
         // And flip v1 back positive again.
-        engine.force_gain(1, 1);
-        assert_eq!(engine.reoptimize(), fresh(&[0, 1, 7, 4], &arcs, &[]));
+        engine.force_gain(&cs, 1, 1);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, 1, 7, 4], &arcs, &[])
+        );
+        assert!(!engine.is_sink[1] && engine.parent[1] == TERMINAL);
+        assert_trees_rest(&engine);
     }
 
     #[test]
     fn empty_closure_after_delta_and_recovery() {
         let gains = [0, 5, -2];
         let arcs = [(1, 2)];
-        let (mut engine, _) = warm(&gains, &arcs);
+        let (mut engine, cs) = warm(&gains, &arcs);
+        let mut perf = PerfCounters::default();
         assert_eq!(engine.cached.len(), 2);
-        // Shrink the seed until the closure gain goes non-positive.
-        engine.force_gain(1, 2);
-        assert!(engine.reoptimize().is_empty());
-        assert_eq!(engine.reoptimize(), fresh(&[0, 2, -2], &arcs, &[]));
-        // total_positive bookkeeping survives the empty round.
-        engine.force_gain(1, 4);
-        assert_eq!(engine.reoptimize(), fresh(&[0, 4, -2], &arcs, &[]));
+        // Shrink the seed until the closure gain goes non-positive: the
+        // residual hits exactly 0, so v1 is orphaned, not re-rooted.
+        engine.force_gain(&cs, 1, 2);
+        assert!(engine.select(&cs, &mut perf).is_empty());
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, 2, -2], &arcs, &[])
+        );
+        assert_eq!(engine.tr_cap[1], 0);
+        assert_ne!(engine.parent[1], TERMINAL);
+        engine.force_gain(&cs, 1, 4);
+        assert_eq!(
+            engine.select(&cs, &mut perf),
+            fresh(&[0, 4, -2], &arcs, &[])
+        );
+        assert_trees_rest(&engine);
     }
 
     #[test]
     fn repeated_deltas_to_the_same_vertex() {
         let gains = [0, 8, -5, -5];
         let arcs = [(1, 2), (1, 3)];
-        let (mut engine, _) = warm(&gains, &arcs);
+        let (mut engine, cs) = warm(&gains, &arcs);
+        let mut perf = PerfCounters::default();
         let mut cur = gains.to_vec();
         for g in [12, 3, -1, 0, 15, 9, 11] {
-            engine.force_gain(1, g);
+            engine.force_gain(&cs, 1, g);
             cur[1] = g;
-            assert_eq!(engine.reoptimize(), fresh(&cur, &arcs, &[]), "gain {g}");
+            assert_eq!(
+                engine.select(&cs, &mut perf),
+                fresh(&cur, &arcs, &[]),
+                "gain {g}"
+            );
+            assert_trees_rest(&engine);
         }
     }
 
     #[test]
-    fn freeze_with_flow_cancels_downstream_via_public_path() {
-        // The production-path capacity drop: freezing a positive-gain
-        // vertex whose source arc carries flow.
-        let mut cs = ConstraintSystem::new(vec![0, 10, -4, 3]);
+    fn force_gain_flips_and_drops_match_the_oracle() {
+        // Every vertex of a small diamond goes through sign flips,
+        // drops to zero and raises, one forced gain per selection.
+        let gains = [0, 9, -3, -4, 6, 0];
+        let arcs = [(1, 2), (1, 3), (4, 3), (2, 5), (3, 5), (5, 4)];
+        let (mut engine, cs) = warm(&gains, &arcs);
+        let mut perf = PerfCounters::default();
+        let mut cur = gains.to_vec();
+        let script = [
+            (1, -7),
+            (4, 0),
+            (2, 5),
+            (5, -9),
+            (1, 12),
+            (3, 0),
+            (4, -2),
+            (5, 20),
+            (2, -1),
+            (1, 0),
+        ];
+        for (u, g) in script {
+            engine.force_gain(&cs, u, g);
+            cur[u] = g;
+            assert_eq!(
+                engine.select(&cs, &mut perf),
+                fresh(&cur, &arcs, &[]),
+                "gain of {u} forced to {g}"
+            );
+            assert_trees_rest(&engine);
+        }
+    }
+
+    #[test]
+    fn freeze_with_flow_flips_the_vertex_to_the_sink_tree() {
+        // v1 (gain 10) pays for v2 (gain -4): its source residual
+        // carries 4 units of flow, and v2 hangs below it in the source
+        // tree. v4 pulls v3 in on its own.
+        let mut cs = ConstraintSystem::new(vec![0, 10, -4, 0, 5]);
         cs.add_arc(v(1), v(2));
-        let mut engine = IncrementalClosure::new(100);
+        cs.add_arc(v(2), v(3));
+        cs.add_arc(v(4), v(3));
+        let mut engine = IncrementalClosure::new();
+        let mut perf = PerfCounters::default();
+        assert_eq!(engine.select(&cs, &mut perf), vec![v(1), v(2), v(3), v(4)]);
+        assert_eq!(arc_flow(&engine, 1, 2), 4);
+        let child_arc = engine.parent[2] as usize;
+        assert_eq!(engine.head[child_arc], 1, "v2 hangs below v1");
+        // The freeze adds -INF - 10 to v1's residual: it re-roots in the
+        // sink tree and orphans its child v2, which finds no other
+        // source-tree parent and is freed.
+        cs.freeze(v(1));
+        engine.apply_deltas(&cs);
+        engine.repair();
+        assert!(engine.is_sink[1] && engine.parent[1] == TERMINAL);
+        assert_eq!(engine.parent[2], FREE, "v2 is orphaned, then freed");
+        assert_eq!(arc_flow(&engine, 1, 2), 4, "no flow is cancelled");
+        engine.maxflow();
+        engine.extract();
+        assert_eq!(engine.cached, cs.max_gain_closed_set());
+        assert_eq!(engine.cached, vec![v(3), v(4)]);
+        // v2 carries v1's old flow back, so it now hangs in the sink tree.
+        assert!(engine.is_sink[2] && engine.parent[2] != FREE);
+        assert_trees_rest(&engine);
+        assert_eq!(engine.select(&cs, &mut perf), vec![v(3), v(4)]);
+    }
+
+    #[test]
+    fn orphan_is_readopted_through_a_second_parent() {
+        // v2 (gain 0) is reachable from both seeds v1 and v4.
+        let mut cs = ConstraintSystem::new(vec![0, 10, 0, -1, 5]);
+        cs.add_arc(v(1), v(2));
+        cs.add_arc(v(4), v(2));
+        let mut engine = IncrementalClosure::new();
         let mut perf = PerfCounters::default();
         assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
-        cs.freeze(v(1));
-        assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
-        assert_eq!(engine.select(&cs, &mut perf), vec![v(3)]);
+        let first = engine.head[engine.parent[2] as usize] as usize;
+        let second = if first == 1 { 4 } else { 1 };
+        // Freezing v2's parent orphans v2; the repair's adoption finds
+        // it the other seed before the growth loop runs.
+        cs.freeze(v(first));
+        engine.apply_deltas(&cs);
+        engine.repair();
+        assert!(engine.is_sink[first]);
+        let p = engine.parent[2];
+        assert!(p != FREE && p != ORPHAN && p != TERMINAL, "v2 adopted");
+        assert_eq!(engine.head[p as usize] as usize, second);
+        assert!(!engine.is_sink[2]);
+        engine.maxflow();
+        engine.extract();
+        assert_eq!(engine.cached, cs.max_gain_closed_set());
+        assert_trees_rest(&engine);
     }
 
     #[test]
     fn warm_engine_tracks_system_mutations() {
         let mut cs = ConstraintSystem::new(vec![0, 8, -3, 5, -6, 2]);
-        let mut engine = IncrementalClosure::new(100);
+        let mut engine = IncrementalClosure::new();
         let mut perf = PerfCounters::default();
         let mut step = |engine: &mut IncrementalClosure, cs: &ConstraintSystem, what: &str| {
             let got = engine.select(cs, &mut perf);
             let want = cs.max_gain_closed_set();
             assert_eq!(got, want, "after {what}");
             assert_eq!(cs.gain_of(&got), cs.gain_of(&want), "gain after {what}");
+            assert_trees_rest(engine);
         };
         step(&mut engine, &cs, "build");
         cs.add_arc(v(1), v(2));
@@ -792,7 +908,7 @@ mod tests {
     fn unchanged_system_serves_cached_closure() {
         let mut cs = ConstraintSystem::new(vec![0, 4, -1]);
         cs.add_arc(v(1), v(2));
-        let mut engine = IncrementalClosure::new(100);
+        let mut engine = IncrementalClosure::new();
         let mut perf = PerfCounters::default();
         let first = engine.select(&cs, &mut perf);
         let after_build = perf.closure_arcs_touched;
@@ -804,33 +920,91 @@ mod tests {
             "a cached call must not touch any arc"
         );
         assert_eq!(perf.closure_calls, 2);
+        assert_eq!(perf.closure_skips, 0, "the warm engine never skips");
     }
 
     #[test]
-    fn rebuild_threshold_forces_and_forbids_fallback() {
-        let gains = vec![0, 6, -2, 3];
-        // threshold 0: every pending delta forces a full rebuild.
-        let mut cs = ConstraintSystem::new(gains.clone());
-        let mut engine = IncrementalClosure::new(0);
+    fn freed_orphan_reactivates_its_same_tree_neighbours() {
+        // The smallest sequence that needs the reactivation: v2 hangs
+        // below v4 when the new arc 4 -> 3 saturates v4's residual. The
+        // orphan v4 is freed (its only source-tree neighbour v2 hangs
+        // below it), v2 is re-adopted through v1, and only
+        // re-activating v2 lets the source tree grow back into v4.
+        let mut cs = ConstraintSystem::new(vec![0, 5, 0, -6, 2, 2]);
+        cs.add_arc(v(4), v(2));
+        cs.add_arc(v(2), v(4));
+        cs.add_arc(v(1), v(2));
+        let mut engine = IncrementalClosure::new();
         let mut perf = PerfCounters::default();
-        engine.select(&cs, &mut perf);
+        assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
+        cs.add_arc(v(4), v(3));
         assert_eq!(
-            perf.closure_fallback_full, 0,
-            "initial build is not a fallback"
+            engine.select(&cs, &mut perf),
+            vec![v(1), v(2), v(3), v(4), v(5)]
         );
-        cs.add_arc(v(1), v(2));
-        assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
-        assert_eq!(perf.closure_fallback_full, 1);
-        // threshold 100: the dirty set can never exceed |V|, so the
-        // engine never falls back.
-        let mut cs = ConstraintSystem::new(gains);
-        let mut engine = IncrementalClosure::new(100);
-        let mut perf = PerfCounters::default();
-        engine.select(&cs, &mut perf);
-        cs.add_arc(v(1), v(2));
-        cs.raise_weight(v(2), 3);
-        cs.freeze(v(3));
-        assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
-        assert_eq!(perf.closure_fallback_full, 0);
+        assert_trees_rest(&engine);
+    }
+
+    proptest! {
+        /// Random interleavings of constraint arcs, weight raises,
+        /// freezes and forced gain flips and drops on up to 48
+        /// vertices, most of them with gain 0, selected about every
+        /// other delta: after every selection the engine returns
+        /// exactly the from-scratch engine's canonical set, serves it
+        /// again from cache, and leaves its trees at rest. Zero gains
+        /// and dense arcs grow deep trees, so augmentations leave
+        /// several orphans in flight at once.
+        #[test]
+        fn warm_engine_matches_fresh_under_random_deltas(
+            initial in prop::collection::vec((-30i64..30, 0usize..10), 3..48),
+            ops in prop::collection::vec(
+                (0usize..14, 0usize..48, 0usize..48, (-30i64..30, 0usize..10), 0usize..2),
+                1..300,
+            ),
+        ) {
+            // Six draws in ten of a gain or a forced gain are 0.
+            let zero_heavy = |(g, z): (i64, usize)| if z < 6 { 0 } else { g };
+            let mut gains = vec![0i64];
+            gains.extend(initial.into_iter().map(zero_heavy));
+            let n = gains.len();
+            let mut cs = ConstraintSystem::new(gains.clone());
+            let mut arcs: Vec<(usize, usize)> = Vec::new();
+            let mut frozen: Vec<usize> = Vec::new();
+            let mut engine = IncrementalClosure::new();
+            let mut perf = PerfCounters::default();
+            prop_assert_eq!(engine.select(&cs, &mut perf), cs.max_gain_closed_set());
+            let last = ops.len() - 1;
+            for (step, (kind, p, q, x, defer)) in ops.into_iter().enumerate() {
+                let p = 1 + p % (n - 1);
+                let q = 1 + q % (n - 1);
+                match kind {
+                    0..=7 if p != q && cs.add_arc(v(p), v(q)) => arcs.push((p, q)),
+                    8 => {
+                        let w = cs.weight(v(q)) + 1 + x.0.rem_euclid(3);
+                        if cs.raise_weight(v(q), w) {
+                            gains[q] = cs.gain(v(q));
+                        }
+                    }
+                    9 if x.0.rem_euclid(4) == 0 => {
+                        cs.freeze(v(p));
+                        if !frozen.contains(&p) {
+                            frozen.push(p);
+                        }
+                    }
+                    10.. if !cs.is_frozen(v(p)) => {
+                        engine.force_gain(&cs, p, zero_heavy(x));
+                        gains[p] = zero_heavy(x);
+                    }
+                    _ => {}
+                }
+                if defer > 0 && step < last {
+                    continue;
+                }
+                let want = fresh(&gains, &arcs, &frozen);
+                prop_assert_eq!(&engine.select(&cs, &mut perf), &want);
+                prop_assert_eq!(&engine.select(&cs, &mut perf), &want);
+                assert_trees_rest(&engine);
+            }
+        }
     }
 }

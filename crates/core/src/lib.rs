@@ -18,7 +18,8 @@
 //!   [`algorithm::SolverConfig::with_p2`]`(false)`, the *Efficient
 //!   MinObs* baseline of ref \[17\],
 //! * [`closure_inc::IncrementalClosure`]: the warm-started max-gain
-//!   closure engine (select with
+//!   closure engine, a Boykov–Kolmogorov max-flow whose search trees
+//!   live across closure calls (select with
 //!   [`algorithm::SolverConfig::with_closure_engine`]),
 //! * [`init::InitConfig`]: the §V choice of `Φ`, `R_min` and the
 //!   starting retiming,

@@ -15,15 +15,11 @@ pub struct PerfCounters {
     pub closure_nanos: u64,
     /// Closure selections performed (either closure engine).
     pub closure_calls: u64,
-    /// Arcs examined by the closure engine (network construction,
-    /// BFS/DFS phases, flow repair and cut extraction) — counted
-    /// identically by the from-scratch and warm-started engines so the
-    /// reuse ratio is directly comparable.
+    /// Arcs examined by the closure engine: network construction plus,
+    /// for the from-scratch engine, its BFS/DFS phases and cut
+    /// extraction, and for the warm engine, tree repair, growth,
+    /// augmentation and adoption.
     pub closure_arcs_touched: u64,
-    /// Warm-engine selections that fell back to a fresh network build
-    /// because the delta batch dirtied more vertices than its
-    /// `rebuild_percent` threshold allows.
-    pub closure_fallback_full: u64,
     /// Nanoseconds the warm engine spent inside
     /// [`crate::closure_inc::IncrementalClosure::select`] (a subset of
     /// `closure_nanos`; 0 under the from-scratch engine).
@@ -37,10 +33,10 @@ pub struct PerfCounters {
     /// verification failure, plus any trips of the SER engine's
     /// per-frame ODC audit.
     pub breaker_trips: u64,
-    /// Warm-closure selections answered by the provably-unchanged-cut
-    /// fast path: the pending deltas were classified as unable to alter
-    /// the min cut, so they were applied to the residual without a
-    /// resume or re-extraction (see [`crate::closure_inc`]).
+    /// Always 0. It counted warm-closure selections skipped by a
+    /// provably-unchanged-cut classifier, which the tree-reusing engine
+    /// of [`crate::closure_inc`] replaced; the field stays so readers of
+    /// the counter keep working.
     pub closure_skips: u64,
     /// Violations learned by batched attribution (every violation of a
     /// tentative move is attributed in one pass instead of

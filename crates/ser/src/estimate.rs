@@ -92,7 +92,8 @@ pub enum EstimateError {
     TooLarge {
         /// `R + I·n` for the requested expansion.
         source_bits: usize,
-        /// The configured cap.
+        /// The effective cap: the configured one, or the lower count
+        /// whose trace still fits [`crate::exact::MAX_TRACE_BYTES`].
         cap: u32,
     },
 }

@@ -13,7 +13,9 @@
 //! With `R` registers, `I` inputs and `n` frames the enumeration has
 //! `S = R + I·n` source bits and `2^S` vectors; [`exact_source_bits`]
 //! and the `max_source_bits` cap (default
-//! [`DEFAULT_MAX_SOURCE_BITS`]) keep it honest. The timing-masking
+//! [`DEFAULT_MAX_SOURCE_BITS`]) keep it honest, and
+//! [`MAX_TRACE_BYTES`] bounds the trace whatever cap a caller passes.
+//! The timing-masking
 //! factor `|ELW(g)|/Φ` is already exact (interval arithmetic, eq. (3)),
 //! so an [`exact_report`] is ground truth for the *whole* eq. (4)
 //! model — the only quantity any other estimator can legitimately
@@ -34,6 +36,10 @@ use crate::sim::EngineReport;
 /// Default cap on `R + I·n` enumeration bits (2^20 ≈ 1M vectors).
 pub const DEFAULT_MAX_SOURCE_BITS: u32 = 20;
 
+/// Hard ceiling on the enumerated trace, `gates × frames × max(2^S, 64)`
+/// bits, whatever `max_source_bits` a caller passes (1 GiB).
+pub const MAX_TRACE_BYTES: u64 = 1 << 30;
+
 /// `S = R + I·n`: the number of free source bits in the `n`-frame
 /// expansion of `circuit`.
 pub fn exact_source_bits(circuit: &Circuit, frames: usize) -> usize {
@@ -41,9 +47,27 @@ pub fn exact_source_bits(circuit: &Circuit, frames: usize) -> usize {
 }
 
 /// Whether exhaustive enumeration of `circuit` over `frames` frames
-/// fits under `max_source_bits`.
+/// fits under `max_source_bits` and under [`MAX_TRACE_BYTES`].
 pub fn exact_feasible(circuit: &Circuit, frames: usize, max_source_bits: u32) -> bool {
-    exact_source_bits(circuit, frames) <= max_source_bits as usize
+    exact_source_bits(circuit, frames) <= source_bit_cap(circuit, frames, max_source_bits) as usize
+}
+
+/// Bytes of the enumerated trace with `source_bits` source bits, or
+/// `None` when the count overflows `u64`.
+fn trace_bytes(circuit: &Circuit, frames: usize, source_bits: usize) -> Option<u64> {
+    let vectors = 1u64.checked_shl(u32::try_from(source_bits).ok()?)?.max(64);
+    (circuit.len() as u64)
+        .checked_mul(frames as u64)?
+        .checked_mul(vectors / 8)
+}
+
+/// The effective source-bit cap: `max_source_bits`, lowered to the
+/// largest count whose trace fits in [`MAX_TRACE_BYTES`].
+fn source_bit_cap(circuit: &Circuit, frames: usize, max_source_bits: u32) -> u32 {
+    (0..=max_source_bits.min(63))
+        .rev()
+        .find(|&s| trace_bytes(circuit, frames, s as usize).is_some_and(|b| b <= MAX_TRACE_BYTES))
+        .unwrap_or(0)
 }
 
 /// The enumeration signature of source bit `j`: bit `v` of the
@@ -179,18 +203,17 @@ fn inject(circuit: &Circuit, trace: &EnumTrace, victim: GateId) -> f64 {
 /// # Errors
 ///
 /// [`EstimateError::TooLarge`] when `R + I·n` exceeds
-/// `max_source_bits`.
+/// `max_source_bits`, or the trace would exceed [`MAX_TRACE_BYTES`];
+/// nothing is allocated then.
 pub fn exact_observability(
     circuit: &Circuit,
     frames: usize,
     max_source_bits: u32,
 ) -> Result<Vec<f64>, EstimateError> {
     let source_bits = exact_source_bits(circuit, frames);
-    if source_bits > max_source_bits as usize {
-        return Err(EstimateError::TooLarge {
-            source_bits,
-            cap: max_source_bits,
-        });
+    let cap = source_bit_cap(circuit, frames, max_source_bits);
+    if source_bits > cap as usize {
+        return Err(EstimateError::TooLarge { source_bits, cap });
     }
     let trace = EnumTrace::simulate(circuit, frames);
     Ok(circuit
@@ -244,6 +267,29 @@ mod tests {
         assert!(!exact_feasible(&c, 2, 10));
         let err = exact_observability(&c, 2, 10).unwrap_err();
         assert!(err.to_string().contains("11"), "{err}");
+    }
+
+    #[test]
+    fn trace_ceiling_refuses_what_no_cap_can_afford() {
+        let c = samples::s27_like();
+        // 3 registers + 4 inputs × 16 frames = 67 bits: 2^67 vectors
+        // overflow any shift. Refused before anything is allocated,
+        // whatever cap the caller passes.
+        assert_eq!(exact_source_bits(&c, 16), 67);
+        assert!(!exact_feasible(&c, 16, u32::MAX));
+        let err = exact_observability(&c, 16, u32::MAX).unwrap_err();
+        assert!(err.to_string().contains("67"), "{err}");
+        match err {
+            EstimateError::TooLarge { source_bits, cap } => {
+                assert_eq!(source_bits, 67);
+                assert!(cap < 40, "the ceiling lowers the cap, got {cap}");
+            }
+            other => panic!("expected TooLarge, got {other}"),
+        }
+        // 43 bits fit the shift but not the 1 GiB trace.
+        assert!(exact_observability(&c, 10, 64).is_err());
+        // The ceiling never lowers the cap below what fits.
+        assert!(exact_feasible(&c, 2, u32::MAX));
     }
 
     #[test]

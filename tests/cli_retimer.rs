@@ -358,6 +358,36 @@ fn retimer_exits_two_on_bad_simulation_sizes() {
 }
 
 #[test]
+fn retimer_refuses_an_exact_enumeration_past_the_trace_ceiling() {
+    // 3 registers + 4 inputs × 10 frames = 43 source bits: under the
+    // 64-bit cap the caller passes, but a 2^43-vector trace. The exact
+    // engine refuses it before allocating instead of aborting.
+    let dir = workdir("exact_ceiling");
+    let input = dir.join("s27.bench");
+    netlist::bench_format::write_file(&netlist::samples::s27_like(), &input).expect("write input");
+    let out = Command::new(bin())
+        .args([
+            "estimate",
+            input.to_str().unwrap(),
+            "--engine",
+            "exact",
+            "--max-source-bits",
+            "64",
+            "--frames",
+            "10",
+            "--vectors",
+            "64",
+        ])
+        .output()
+        .expect("run retimer");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "{stderr}");
+    assert!(stderr.contains("43 source bits"), "{stderr}");
+    assert!(!stderr.contains("panicked"), "{stderr}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn retimer_rejects_out_of_range_values_with_the_flag_named() {
     // Every value has one parse-and-range rule: a value outside it
     // exits 2 with the flag named, before any work starts, and never

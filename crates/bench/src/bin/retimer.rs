@@ -712,14 +712,28 @@ fn run_bench_ser(mut args: Args) -> Result<u8, CliError> {
     Ok(0)
 }
 
+/// The environment variable that gives `retimer serve` a filesystem
+/// fault plan for chaos drills (`netlist::fio::FaultPlan::parse`
+/// syntax), e.g. `seed=0xC0FFEE,enospc=7,tear=11,flip=5,orphan=13`.
+const FAULT_PLAN_ENV: &str = "SABOTAGE_FIO_PLAN";
+
 /// `retimer serve`: boots the daemon (crates/serve) on stdin/stdout or
 /// a unix socket and runs it until drained. `--fsck` instead runs one
 /// standalone cache-integrity pass and exits.
 fn run_serve(mut args: Args) -> Result<u8, CliError> {
-    // Chaos and soak harnesses opt into filesystem fault injection
-    // via SABOTAGE_FIO_PLAN (a malformed plan warns and stays inert).
-    if let Some(plan) = netlist::fio::install_from_env() {
-        eprintln!("warning: filesystem fault injection active: {plan:?}");
+    // A malformed plan is not silently ignored: it warns, naming the
+    // rejected value, and installs nothing.
+    if let Ok(spec) = std::env::var(FAULT_PLAN_ENV) {
+        match netlist::fio::FaultPlan::parse(&spec) {
+            Ok(plan) => {
+                netlist::fio::install(plan);
+                eprintln!("warning: filesystem fault injection active: {plan:?}");
+            }
+            Err(reason) => eprintln!(
+                "warning: ignoring {FAULT_PLAN_ENV}=\"{spec}\": {reason} \
+                 (no faults will be injected)"
+            ),
+        }
     }
     let cache = args.string("--cache")?;
     let mut config = serve::ServeConfig::new(cache.as_deref().unwrap_or(".retimer-cache"));

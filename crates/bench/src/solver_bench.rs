@@ -268,6 +268,7 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
          {indent}  \"closure_arcs_touched\": {},\n\
          {indent}  \"arcs_per_closure\": {:.3},\n\
          {indent}  \"closure_warm_nanos\": {},\n\
+         {indent}  \"certificate_nanos\": {},\n\
          {indent}  \"closure_skips\": {},\n\
          {indent}  \"violations_batched\": {},\n\
          {indent}  \"attribute_nanos\": {},\n\
@@ -285,6 +286,7 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
         p.closure_arcs_touched,
         p.arcs_per_closure(),
         p.closure_warm_nanos,
+        p.certificate_nanos,
         p.closure_skips,
         p.violations_batched,
         p.attribute_nanos,
@@ -304,7 +306,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
     let _ = writeln!(out, "profile {}", r.name);
     let _ = writeln!(
         out,
-        "  {:<12} {:>16} {:>7} {:>16} {:>7}",
+        "  {:<14} {:>16} {:>7} {:>16} {:>7}",
         "phase", "warm", "share", "fresh", "share"
     );
     let row = |out: &mut String, label: &str, warm_ns: u64, fresh_ns: u64, r: &BenchRecord| {
@@ -317,7 +319,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
         };
         let _ = writeln!(
             out,
-            "  {:<12} {:>13.3} ms {:>6.1}% {:>13.3} ms {:>6.1}%",
+            "  {:<14} {:>13.3} ms {:>6.1}% {:>13.3} ms {:>6.1}%",
             label,
             warm_ns as f64 / 1e6,
             share(warm_ns, r.warm.solve_seconds),
@@ -334,6 +336,13 @@ pub fn profile_table(r: &BenchRecord) -> String {
         "  warm",
         wp.closure_warm_nanos,
         fp.closure_warm_nanos,
+        r,
+    );
+    row(
+        &mut out,
+        "  certificate",
+        wp.certificate_nanos,
+        fp.certificate_nanos,
         r,
     );
     row(
@@ -356,7 +365,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
     );
     let _ = writeln!(
         out,
-        "  {:<12} {:>13.3} ms         {:>13.3} ms",
+        "  {:<14} {:>13.3} ms         {:>13.3} ms",
         "total",
         r.warm.solve_seconds * 1e3,
         r.fresh.solve_seconds * 1e3,
@@ -373,7 +382,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
 /// (hand-rolled: the workspace deliberately has no serde dependency).
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 6,\n");
+    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 7,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
@@ -415,6 +424,7 @@ mod tests {
         assert!(json.contains("\"solver-constraint-engines\""));
         assert!(json.contains("\"closure_arc_ratio\""));
         assert!(json.contains("\"closure_warm_nanos\""));
+        assert!(json.contains("\"certificate_nanos\""));
         assert!(json.contains("\"degraded\": false"));
         assert!(json.contains("\"init\": {") && json.contains("\"init_seconds\""));
         for r in &records {
@@ -432,6 +442,8 @@ mod tests {
             );
             assert_eq!(r.warm.stats.perf.checks, r.fresh.stats.perf.checks);
             assert_eq!(r.fresh.stats.perf.closure_warm_nanos, 0);
+            assert_eq!(r.fresh.stats.perf.certificate_nanos, 0);
+            assert!(r.warm.stats.degradation.is_clean(), "{}", r.name);
         }
     }
 
@@ -525,6 +537,7 @@ mod tests {
         };
         record.warm.stats.perf.check_nanos = 400_000_000;
         record.warm.stats.perf.closure_nanos = 300_000_000;
+        record.warm.stats.perf.certificate_nanos = 20_000_000;
         record.warm.stats.perf.attribute_nanos = 100_000_000;
         record.warm.stats.perf.commit_nanos = 100_000_000;
         record.warm.stats.perf.closure_skips = 7;
@@ -534,8 +547,10 @@ mod tests {
         for needle in [
             "check",
             "closure",
-            // The closure phase's warm-engine sub-row, not the header.
+            // The closure phase's warm-engine and certificate sub-rows,
+            // not the header.
             "\n    warm ",
+            "\n    certificate ",
             "attribute",
             "commit",
             "other",

@@ -20,7 +20,6 @@
 //! 19–21") yields the *Efficient MinObs* baseline of ref \[17\] — see
 //! [`crate::minobs`].
 
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::Instant;
 
 use retime::{RetimeGraph, Retiming, VertexId};
@@ -30,8 +29,8 @@ use crate::closure_inc::{ClosureEngine, IncrementalClosure};
 use crate::perf::PerfCounters;
 use crate::problem::Problem;
 use crate::supervisor::{
-    instance_digest, memory_estimate, Checkpoint, DegradationReport, DegradedSolution, Sabotage,
-    SolveOutcome, Supervision, SupervisorRt, TripCause,
+    instance_digest, memory_estimate, Checkpoint, DegradationReport, DegradedSolution,
+    SolveOutcome, Supervision, SupervisorRt,
 };
 use crate::verify::{check_feasible, find_violations, Violation};
 use crate::SolveError;
@@ -71,11 +70,6 @@ pub struct SolverConfig {
     /// bit-identical by the canonical closure-selection rule, so this
     /// is purely a performance knob).
     pub closure_engine: ClosureEngine,
-    /// Test-only fault injection into the warm closure engine; see
-    /// [`Sabotage`]. Production code leaves this at the default
-    /// [`Sabotage::None`].
-    #[doc(hidden)]
-    pub sabotage: Sabotage,
 }
 
 impl Default for SolverConfig {
@@ -85,7 +79,6 @@ impl Default for SolverConfig {
             max_iterations: None,
             bidirectional: true,
             closure_engine: ClosureEngine::default(),
-            sabotage: Sabotage::None,
         }
     }
 }
@@ -113,14 +106,6 @@ impl SolverConfig {
     /// Selects the closure engine ([`ClosureEngine::Warm`] by default).
     pub fn with_closure_engine(mut self, engine: ClosureEngine) -> Self {
         self.closure_engine = engine;
-        self
-    }
-
-    /// Test-only: injects a fault into the warm closure engine so the
-    /// supervisor's circuit breaker can be exercised.
-    #[doc(hidden)]
-    pub fn with_sabotage(mut self, sabotage: Sabotage) -> Self {
-        self.sabotage = sabotage;
         self
     }
 }
@@ -151,9 +136,9 @@ pub struct SolverStats {
     /// Work counters and per-phase nanos (checks, closure calls and
     /// arcs, learning, commits).
     pub perf: PerfCounters,
-    /// How far the supervisor degraded this run (breaker trips, budget
-    /// stops, restarts); [`DegradationReport::is_clean`] on a healthy
-    /// solve.
+    /// How far the supervisor degraded this run (closure restarts,
+    /// breaker trips, budget stops); [`DegradationReport::is_clean`] on
+    /// a healthy solve.
     pub degradation: DegradationReport,
 }
 
@@ -183,9 +168,8 @@ pub(crate) fn run_solver(
 }
 
 /// The supervised solver core behind
-/// [`crate::SolverSession::run_supervised`]: budgets, panic-isolated
-/// engines with self-healing fallback, checkpoint/resume, and a final
-/// verification gate (see [`crate::supervisor`]).
+/// [`crate::SolverSession::run_supervised`]: budgets, checkpoint/resume,
+/// and a final verification gate (see [`crate::supervisor`]).
 pub(crate) fn run_supervised_solver(
     graph: &RetimeGraph,
     problem: &Problem,
@@ -242,33 +226,14 @@ pub(crate) fn run_supervised_solver(
         rt.start_objective = problem.objective(&initial);
     }
 
-    let mut r = solve_loop(
-        graph,
-        problem,
-        initial.clone(),
-        config,
-        &mut rt,
-        &mut stats,
-        seed,
-    )?;
+    let r = solve_loop(graph, problem, initial, config, &mut rt, &mut stats, seed)?;
 
-    // Final verification gate: the last rung of the degradation
-    // ladder. Every commit already passed `find_violations`, so only a
-    // bug can fail it; redo the whole solve with the from-scratch
-    // closure engine (bit-identical by construction, so this is always
-    // sound — just slow).
-    if check_feasible(graph, problem, &r).is_err() {
-        rt.report.full_restart = true;
-        stats.perf.breaker_trips += 1;
-        let safe = config
-            .with_closure_engine(ClosureEngine::Fresh)
-            .with_sabotage(Sabotage::None);
-        r = solve_loop(graph, problem, initial, safe, &mut rt, &mut stats, None)?;
-        if let Err(v) = check_feasible(graph, problem, &r) {
-            return Err(SolveError::Verification(format!(
-                "from-scratch re-solve still infeasible: {v:?}"
-            )));
-        }
+    // Final verification gate. Every commit already passed
+    // `find_violations`, so only a bug in the solver can fail it.
+    if let Err(v) = check_feasible(graph, problem, &r) {
+        return Err(SolveError::Verification(format!(
+            "the solved retiming is infeasible: {v:?}"
+        )));
     }
 
     // A terminal checkpoint lets `--resume` of a finished solve return
@@ -438,12 +403,10 @@ fn run_phase(
     }
 
     // One warm closure engine per phase: it observes `system`'s change
-    // log, so its lifetime must match the constraint system's. It is
-    // gated on its circuit breaker: once tripped (this phase or an
-    // earlier one), the fresh engine serves the rest of the solve.
+    // log, so its lifetime must match the constraint system's.
     let mut warm_closure = match config.closure_engine {
-        ClosureEngine::Warm if rt.closure_allowed() => Some(IncrementalClosure::new()),
-        _ => None,
+        ClosureEngine::Warm => Some(IncrementalClosure::new()),
+        ClosureEngine::Fresh => None,
     };
     let direction_increase = direction == Direction::Increase;
     // No satisfiable fix moves more registers over one vertex than the
@@ -488,56 +451,21 @@ fn run_phase(
             return Err(SolveError::IterationLimit(local_iterations));
         }
         let t_closure = Instant::now();
-        // --- Closure selection, isolated and audited. ---
-        let mut selected: Option<Vec<VertexId>> = None;
-        if let Some(engine) = warm_closure.as_mut() {
-            let sabotage = config.sabotage;
-            let call = stats.perf.closure_calls + 1;
-            let outcome = catch_unwind(AssertUnwindSafe(|| {
-                let mut members = engine.select(&system, &mut stats.perf);
-                let sabotaged = sabotage.corrupt_closure(call, &mut members);
-                if !sabotaged {
-                    // Differential oracle: in debug builds every warm
-                    // selection is compared against the from-scratch
-                    // engine (the canonical rule makes them
-                    // bit-identical). In release builds the sampled
-                    // audit below takes over.
-                    debug_assert_eq!(
-                        members,
-                        system.max_gain_closed_set(),
-                        "warm closure engine diverged from the from-scratch oracle"
-                    );
-                }
-                members
-            }));
-            match outcome {
-                Ok(members) => selected = Some(members),
-                Err(_) => {
-                    // The engine panicked (or its debug oracle fired):
-                    // trip the breaker, abandon the possibly-corrupt
-                    // engine, recompute this selection from scratch.
-                    rt.trip_closure(stats.iterations, TripCause::Panic);
-                    stats.perf.breaker_trips += 1;
-                }
-            }
-        }
-        if !rt.closure_allowed() {
-            warm_closure = None;
-        }
-        let move_set = match selected {
-            Some(mut members) => {
-                if warm_closure.is_some() && rt.audit_due(stats.perf.closure_calls) {
-                    // Release-mode sampled divergence audit: re-run the
-                    // from-scratch engine and compare bit-for-bit.
-                    stats.perf.audit_checks += 1;
-                    let oracle = system.max_gain_closed_set();
-                    if members != oracle {
-                        rt.trip_closure(stats.iterations, TripCause::Divergence);
-                        stats.perf.breaker_trips += 1;
-                        warm_closure = None;
-                        members = oracle;
-                    }
-                }
+        let move_set = match warm_closure.as_mut() {
+            Some(engine) => {
+                let members = engine.select_certified(
+                    &system,
+                    &mut stats.perf,
+                    &mut rt.report.closure_restarts,
+                )?;
+                // Differential oracle: in debug builds every certified
+                // selection is also compared against the from-scratch
+                // engine (the canonical rule makes them bit-identical).
+                debug_assert_eq!(
+                    members,
+                    system.max_gain_closed_set(),
+                    "warm closure engine diverged from the from-scratch oracle"
+                );
                 members
             }
             None => {

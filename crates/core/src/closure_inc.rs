@@ -66,6 +66,19 @@
 //! and [`IncrementalClosure::select`] lists it directly. The solver's
 //! `debug_assert!` differential oracle and the property suites here and
 //! in `tests/properties.rs` check exactly that.
+//!
+//! # Every answer is certified
+//!
+//! The solver does not take that argument on trust:
+//! `IncrementalClosure::select_certified` checks each answer with a
+//! linear-time certificate (`certify`) that reads only the constraint
+//! system, the per-arc residuals and `tr_cap`, and uses the source
+//! tree's parent pointers as a witness it verifies hop by hop. The
+//! flow is the dual that proves the cut: conservation plus a member
+//! list that no residual arc leaves and that holds exactly the
+//! positive residuals make the list a maximum-gain closed set, and the
+//! witness makes it the smallest one (DESIGN.md §10 has the proof). A
+//! rejected answer restarts the engine from the whole change log.
 
 use std::collections::VecDeque;
 use std::time::Instant;
@@ -74,6 +87,7 @@ use retime::VertexId;
 
 use crate::closure::ConstraintSystem;
 use crate::perf::PerfCounters;
+use crate::SolveError;
 
 const INF: i64 = i64::MAX / 4;
 
@@ -175,6 +189,163 @@ impl IncrementalClosure {
         perf.closure_warm_nanos += t0.elapsed().as_nanos() as u64;
         perf.member_clone_bytes += std::mem::size_of_val(self.cached.as_slice()) as u64;
         self.cached.clone()
+    }
+
+    /// The solver's closure step: [`IncrementalClosure::select`], then
+    /// the certificate against the terminal capacities recomputed from
+    /// `system`, timed into `perf.certificate_nanos`. A rejected answer
+    /// replaces the engine with a new one, whose first selection plants
+    /// fresh trees from the whole change log, and counts one restart in
+    /// `restarts`.
+    ///
+    /// # Errors
+    ///
+    /// [`SolveError::Verification`] when the certificate rejects the
+    /// restarted engine's answer too.
+    pub(crate) fn select_certified(
+        &mut self,
+        system: &ConstraintSystem,
+        perf: &mut PerfCounters,
+        restarts: &mut u32,
+    ) -> Result<Vec<VertexId>, SolveError> {
+        let certified = |engine: &mut Self, perf: &mut PerfCounters| {
+            let members = engine.select(system, perf);
+            let t0 = Instant::now();
+            let verdict = engine.certify(system, &members, |v| terminal_capacity(system, v));
+            perf.certificate_nanos += t0.elapsed().as_nanos() as u64;
+            verdict.map(|()| members)
+        };
+        if let Ok(members) = certified(self, perf) {
+            return Ok(members);
+        }
+        *restarts += 1;
+        *self = Self::new();
+        certified(self, perf).map_err(|why| {
+            SolveError::Verification(format!(
+                "the closure certificate rejected a restarted engine: {why}"
+            ))
+        })
+    }
+
+    /// Proves in `O(|V| + |A|)` that `members` is the canonical closure
+    /// of `system` when vertex `v` has terminal capacity `capacity(v)`
+    /// (the solver passes [`terminal_capacity`]). It reads the system,
+    /// the per-arc arrays and `tr_cap`, and the `parent` pointers only
+    /// as a witness it checks hop by hop:
+    ///
+    /// 1. the engine holds exactly the system's arcs, arc `k` forward in
+    ///    slot `2k` and reversed in `2k + 1`, both residuals `>= 0` and
+    ///    summing to `INF`; the flow on arc `k` is its reverse residual;
+    /// 2. flow is conserved in signed form at every vertex:
+    ///    `tr_cap[v] == c(v) − (out-flow(v) − in-flow(v))`;
+    /// 3. `members` is strictly ascending, no constraint arc leaves it,
+    ///    no flow enters it, and it holds every vertex with `tr_cap > 0`
+    ///    and none with `tr_cap < 0`;
+    /// 4. every member reaches a vertex with `tr_cap > 0` over residual
+    ///    arcs inside `members`, along its `parent` chain.
+    ///
+    /// Returns why the first failing check failed.
+    pub(crate) fn certify(
+        &self,
+        system: &ConstraintSystem,
+        members: &[VertexId],
+        capacity: impl Fn(usize) -> i64,
+    ) -> Result<(), String> {
+        // Witness-walk marks; anything but `OUT` is a member.
+        const OUT: u8 = 0;
+        const MEMBER: u8 = 1;
+        const ON_PATH: u8 = 2;
+        const REACHES: u8 = 3;
+        let n = system.len();
+        let arcs = system.arc_log();
+        if self.head.len() != 2 * arcs.len()
+            || self.r_cap.len() != self.head.len()
+            || self.tr_cap.len() != n
+            || self.parent.len() != n
+        {
+            return Err(format!(
+                "the engine holds {} arc slots over {} vertices; the system has {} arcs over {n}",
+                self.head.len(),
+                self.tr_cap.len(),
+                arcs.len()
+            ));
+        }
+        let mut mark = vec![OUT; n];
+        let mut last = 0;
+        for m in members {
+            let v = m.index();
+            if v <= last || v >= n {
+                return Err(format!("member {v} breaks the ascending order in 1..{n}"));
+            }
+            mark[v] = MEMBER;
+            last = v;
+        }
+        // Out-flow minus in-flow of every vertex.
+        let mut net = vec![0i64; n];
+        let slots = self.head.chunks_exact(2).zip(self.r_cap.chunks_exact(2));
+        for (k, (&(p, q), (head, r_cap))) in arcs.iter().zip(slots).enumerate() {
+            if head != [q, p] || p as usize >= n || q as usize >= n {
+                return Err(format!(
+                    "arc {p}->{q} is not in slots {}/{}",
+                    2 * k,
+                    2 * k + 1
+                ));
+            }
+            let (p, q) = (p as usize, q as usize);
+            let (residual, flow) = (r_cap[0], r_cap[1]);
+            if residual < 0 || flow < 0 || residual.checked_add(flow) != Some(INF) {
+                return Err(format!("arc {p}->{q} has residuals {residual}/{flow}"));
+            }
+            net[p] = net[p].checked_add(flow).ok_or("flow overflows")?;
+            net[q] = net[q].checked_sub(flow).ok_or("flow overflows")?;
+            if mark[p] != OUT && mark[q] == OUT {
+                return Err(format!("constraint arc {p}->{q} leaves the member list"));
+            }
+            if mark[p] == OUT && mark[q] != OUT && flow > 0 {
+                return Err(format!("flow {flow} enters the member list along {p}->{q}"));
+            }
+        }
+        for v in 0..n {
+            let t = self.tr_cap[v];
+            let conserved = capacity(v).checked_sub(net[v]);
+            if conserved != Some(t) {
+                return Err(format!(
+                    "vertex {v} has terminal residual {t}, its capacity and flow give {conserved:?}"
+                ));
+            }
+            if t > 0 && mark[v] == OUT || t < 0 && mark[v] != OUT {
+                return Err(format!(
+                    "vertex {v} with terminal residual {t} is on the wrong side"
+                ));
+            }
+        }
+        let mut path = Vec::new();
+        for m in members {
+            let mut v = m.index();
+            while mark[v] == MEMBER && self.tr_cap[v] <= 0 {
+                mark[v] = ON_PATH;
+                path.push(v);
+                let a = self.parent[v] as usize;
+                if a >= self.head.len() || self.head[a ^ 1] as usize != v || self.r_cap[a ^ 1] <= 0
+                {
+                    return Err(format!("member {v} has no residual arc from a parent"));
+                }
+                v = self.head[a] as usize;
+            }
+            match mark[v] {
+                OUT => {
+                    return Err(format!(
+                        "the parent chain of member {m} leaves the list at {v}"
+                    ))
+                }
+                ON_PATH => return Err(format!("the parent chain of member {m} cycles at {v}")),
+                _ => mark[v] = REACHES,
+            }
+            for u in path.drain(..) {
+                mark[u] = REACHES;
+            }
+        }
+        Ok(())
     }
 
     /// Sizes the per-vertex state for `system` with every vertex free
@@ -881,6 +1052,8 @@ mod tests {
             assert_eq!(got, want, "after {what}");
             assert_eq!(cs.gain_of(&got), cs.gain_of(&want), "gain after {what}");
             assert_trees_rest(engine);
+            let capacity = |u| terminal_capacity(cs, u);
+            assert_eq!(engine.certify(cs, &got, capacity), Ok(()), "after {what}");
         };
         step(&mut engine, &cs, "build");
         cs.add_arc(v(1), v(2));
@@ -945,13 +1118,180 @@ mod tests {
         assert_trees_rest(&engine);
     }
 
+    /// A solved engine: v1 (gain 10) pays for v2 and v3 (gains -4 and
+    /// -3), which point at each other, and v4 (gain -20) points into
+    /// the closure from outside. Only v1 keeps a terminal residual, so
+    /// v2 and v3 reach it through their parent chains.
+    fn certified() -> (IncrementalClosure, ConstraintSystem, Vec<VertexId>) {
+        let mut cs = ConstraintSystem::new(vec![0, 10, -4, -3, -20]);
+        for (p, q) in [(1, 2), (2, 3), (3, 2), (4, 2)] {
+            cs.add_arc(v(p), v(q));
+        }
+        let mut engine = IncrementalClosure::new();
+        let members = engine.select(&cs, &mut PerfCounters::default());
+        assert_eq!(members, vec![v(1), v(2), v(3)]);
+        assert_eq!(engine.tr_cap[1..4], [3, 0, 0]);
+        assert_eq!(
+            engine.certify(&cs, &members, |u| terminal_capacity(&cs, u)),
+            Ok(())
+        );
+        (engine, cs, members)
+    }
+
+    /// The certificate's verdict on `members` over the system's own
+    /// capacities.
+    fn verdict(
+        engine: &IncrementalClosure,
+        cs: &ConstraintSystem,
+        members: &[VertexId],
+    ) -> Result<(), String> {
+        engine.certify(cs, members, |u| terminal_capacity(cs, u))
+    }
+
+    #[test]
+    fn certificate_rejects_a_perturbed_flow_or_residual() {
+        // One more unit on arc 1 -> 2 (slots 0/1) keeps its residuals
+        // summing to INF but breaks conservation at both ends.
+        let (mut engine, cs, members) = certified();
+        engine.r_cap[0] -= 1;
+        engine.r_cap[1] += 1;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("vertex 1"));
+        // Residuals that no longer sum to the arc's capacity.
+        let (mut engine, cs, members) = certified();
+        engine.r_cap[2] -= 1;
+        assert!(verdict(&engine, &cs, &members).is_err());
+        // A terminal residual the flow does not explain.
+        let (mut engine, cs, members) = certified();
+        engine.tr_cap[2] += 1;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("vertex 2"));
+    }
+
+    #[test]
+    fn certificate_rejects_an_added_or_dropped_member() {
+        let (engine, cs, _) = certified();
+        // v4 carries a sink residual: a maximum-gain set leaves it out.
+        let added = [v(1), v(2), v(3), v(4)];
+        assert!(verdict(&engine, &cs, &added).is_err());
+        // Without v3 the constraint arc 2 -> 3 leaves the list.
+        assert!(verdict(&engine, &cs, &[v(1), v(2)]).is_err());
+        // Without v1 its source residual is left out.
+        assert!(verdict(&engine, &cs, &[v(2), v(3)]).is_err());
+        // Out of order, and the host.
+        assert!(verdict(&engine, &cs, &[v(2), v(1), v(3)]).is_err());
+        assert!(verdict(&engine, &cs, &[v(0), v(1), v(2), v(3)]).is_err());
+
+        // v3 (gain 1) pays one unit of v2 (gain -3) before v1 (gain 5)
+        // is linked in, so v3 is canonical only through the reverse
+        // residual of its flow into v2: dropping it breaks no rule but
+        // "no flow enters the list".
+        let mut cs = ConstraintSystem::new(vec![0, 5, -3, 1]);
+        cs.add_arc(v(3), v(2));
+        let mut engine = IncrementalClosure::new();
+        engine.select(&cs, &mut PerfCounters::default());
+        cs.add_arc(v(1), v(2));
+        let members = engine.select(&cs, &mut PerfCounters::default());
+        assert_eq!(members, vec![v(1), v(2), v(3)]);
+        assert_eq!(engine.tr_cap[1..], [3, 0, 0]);
+        assert_eq!(verdict(&engine, &cs, &members), Ok(()));
+        let why = verdict(&engine, &cs, &[v(1), v(2)]).unwrap_err();
+        assert!(why.contains("enters"), "{why}");
+
+        // A seed on its own: only its source residual says it belongs.
+        let cs = ConstraintSystem::new(vec![0, 2]);
+        let mut engine = IncrementalClosure::new();
+        assert_eq!(engine.select(&cs, &mut PerfCounters::default()), [v(1)]);
+        assert!(verdict(&engine, &cs, &[])
+            .unwrap_err()
+            .contains("wrong side"));
+    }
+
+    #[test]
+    fn certificate_rejects_a_missing_constraint_arc() {
+        // The system learns an arc the engine has not seen.
+        let (engine, mut cs, members) = certified();
+        cs.add_arc(v(4), v(3));
+        assert!(verdict(&engine, &cs, &members).is_err());
+        // The engine lost the last arc's slots.
+        let (mut engine, cs, members) = certified();
+        engine.head.truncate(6);
+        engine.r_cap.truncate(6);
+        assert!(verdict(&engine, &cs, &members).is_err());
+        // A slot that names another arc: the forward slot of 4 -> 2
+        // (slot 6) points at v3.
+        let (mut engine, cs, members) = certified();
+        engine.head[6] = 3;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("slots"));
+    }
+
+    #[test]
+    fn certificate_rejects_a_broken_parent_witness() {
+        // v2 and v3 point at each other: arc 2 -> 3 (slot 2) carries v3's
+        // flow, so both hops are residual, but neither reaches v1.
+        let (mut engine, cs, members) = certified();
+        engine.parent[2] = 2;
+        engine.parent[3] = 3;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("cycles"));
+        // v2 hangs below v4, outside the list: its parent arc is slot 7
+        // (2 -> 4), whose reverse 4 -> 2 has residual.
+        let (mut engine, cs, members) = certified();
+        engine.parent[2] = 7;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("leaves"));
+        // A root sentinel on a vertex without terminal residual.
+        let (mut engine, cs, members) = certified();
+        engine.parent[3] = TERMINAL;
+        assert!(verdict(&engine, &cs, &members).is_err());
+        // An arc that does not end at the child.
+        let (mut engine, cs, members) = certified();
+        engine.parent[3] = 0;
+        assert!(verdict(&engine, &cs, &members).is_err());
+        // Arc 3 -> 2 (slot 4) carries no flow, so its reverse has no
+        // residual from v2 down to v3.
+        let (mut engine, cs, members) = certified();
+        engine.parent[3] = 4;
+        assert!(verdict(&engine, &cs, &members)
+            .unwrap_err()
+            .contains("no residual"));
+    }
+
+    #[test]
+    fn rejected_certificate_restarts_the_engine_from_the_change_log() {
+        let (mut engine, cs, members) = certified();
+        engine.r_cap[0] -= 1;
+        engine.r_cap[1] += 1;
+        let mut perf = PerfCounters::default();
+        let mut restarts = 0;
+        let got = engine.select_certified(&cs, &mut perf, &mut restarts);
+        assert_eq!(got.unwrap(), cs.max_gain_closed_set());
+        assert_eq!(restarts, 1);
+        assert_eq!(
+            perf.closure_calls, 2,
+            "the rejected call and the restarted one"
+        );
+        // The restarted engine is whole: the next call needs no restart.
+        let again = engine.select_certified(&cs, &mut perf, &mut restarts);
+        assert_eq!(again.unwrap(), members);
+        assert_eq!(restarts, 1);
+    }
+
     proptest! {
         /// Random interleavings of constraint arcs, weight raises,
         /// freezes and forced gain flips and drops on up to 48
         /// vertices, most of them with gain 0, selected about every
         /// other delta: after every selection the engine returns
-        /// exactly the from-scratch engine's canonical set, serves it
-        /// again from cache, and leaves its trees at rest. Zero gains
+        /// exactly the from-scratch engine's canonical set, the
+        /// certificate accepts it under the gains the engine was given
+        /// (forced ones included), the engine serves it again from
+        /// cache, and leaves its trees at rest. Zero gains
         /// and dense arcs grow deep trees, so augmentations leave
         /// several orphans in flight at once.
         #[test]
@@ -1002,6 +1342,12 @@ mod tests {
                 }
                 let want = fresh(&gains, &arcs, &frozen);
                 prop_assert_eq!(&engine.select(&cs, &mut perf), &want);
+                let forced = |u: usize| match u {
+                    0 => 0,
+                    u if cs.is_frozen(v(u)) => -INF,
+                    u => gains[u],
+                };
+                prop_assert_eq!(engine.certify(&cs, &want, forced), Ok(()));
                 prop_assert_eq!(&engine.select(&cs, &mut perf), &want);
                 assert_trees_rest(&engine);
             }

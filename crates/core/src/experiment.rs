@@ -21,9 +21,7 @@ use crate::algorithm::{SolverConfig, SolverStats};
 use crate::init::InitConfig;
 use crate::problem::Problem;
 use crate::session::SolverSession;
-use crate::supervisor::{
-    BreakerTrip, Checkpoint, FileCheckpointSink, SolveBudget, Supervision, TripCause,
-};
+use crate::supervisor::{Checkpoint, FileCheckpointSink, SolveBudget, Supervision};
 use crate::SolveError;
 
 /// Configuration of a full experiment run.
@@ -367,10 +365,7 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         let report = analyze(&rebuilt, &ser_config)?;
         let engine = sim_engine.merged(report.engine);
         if !engine.is_clean() {
-            stats.degradation.ser_trip = Some(BreakerTrip {
-                iteration: 0,
-                cause: TripCause::Divergence,
-            });
+            stats.degradation.ser_trip = true;
             stats.perf.breaker_trips += engine.trips;
         }
         Ok(MethodResult {

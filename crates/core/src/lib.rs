@@ -19,7 +19,8 @@
 //!   MinObs* baseline of ref \[17\],
 //! * [`closure_inc::IncrementalClosure`]: the warm-started max-gain
 //!   closure engine, a Boykov–Kolmogorov max-flow whose search trees
-//!   live across closure calls (select with
+//!   live across closure calls and whose every answer the solver
+//!   checks with a linear-time max-flow certificate (select with
 //!   [`algorithm::SolverConfig::with_closure_engine`]),
 //! * [`init::InitConfig`]: the §V choice of `Φ`, `R_min` and the
 //!   starting retiming,
@@ -97,9 +98,9 @@ pub enum SolveError {
     /// A checkpoint file could not be read or parsed, or does not
     /// match the instance being resumed.
     Checkpoint(String),
-    /// The solver's final verification gate failed even after the
-    /// from-scratch re-solve (indicates a bug in the core algorithm,
-    /// not the warm closure engine).
+    /// The solved retiming failed the final feasibility gate, or the
+    /// closure certificate rejected a freshly restarted warm engine
+    /// (either indicates a bug in the solver).
     Verification(String),
 }
 

@@ -24,14 +24,12 @@ pub struct PerfCounters {
     /// [`crate::closure_inc::IncrementalClosure::select`] (a subset of
     /// `closure_nanos`; 0 under the from-scratch engine).
     pub closure_warm_nanos: u64,
-    /// Sampled divergence audits of the warm closure engine (each
-    /// re-runs the from-scratch engine and compares bit-for-bit; see
-    /// [`crate::supervisor`]).
-    pub audit_checks: u64,
-    /// Circuit-breaker trips: at most one for the warm closure engine
-    /// (panic or audited divergence), plus one for a full-restart
-    /// verification failure, plus any trips of the SER engine's
-    /// per-frame ODC audit.
+    /// Nanoseconds spent certifying the warm engine's answers
+    /// (`IncrementalClosure::select_certified` in [`crate::closure_inc`]): a
+    /// subset of `closure_nanos` disjoint from `closure_warm_nanos`; 0
+    /// under the from-scratch engine.
+    pub certificate_nanos: u64,
+    /// Circuit-breaker trips of the SER engine's per-frame ODC audit.
     pub breaker_trips: u64,
     /// Always 0. It counted warm-closure selections skipped by a
     /// provably-unchanged-cut classifier, which the tree-reusing engine

@@ -86,13 +86,15 @@ impl<'a> SolverSession<'a> {
     /// * [`SolveError::IterationLimit`] if the iteration safety cap is
     ///   hit (would indicate a bug; the cap is far above the paper's
     ///   `|V|²` bound).
+    /// * [`SolveError::Verification`] if the solved retiming fails the
+    ///   final feasibility gate, or a restarted warm closure engine
+    ///   fails its certificate (either would indicate a bug).
     pub fn run(self) -> Result<Solution, SolveError> {
         let initial = self.initial.unwrap_or_else(|| Retiming::zero(self.graph));
         run_solver(self.graph, self.problem, initial, self.config)
     }
 
-    /// Runs the solver under [`Supervision`]: budgets, a panic-isolated
-    /// warm closure engine with self-healing fallback, and
+    /// Runs the solver under [`Supervision`]: budgets and
     /// checkpoint/resume (see [`crate::supervisor`]). With the default
     /// supervision this behaves exactly like [`SolverSession::run`]
     /// and the outcome is always [`SolveOutcome::Complete`].

@@ -1,10 +1,5 @@
-//! The resilient solve supervisor: cooperative budgets, panic
-//! isolation with self-healing engine fallback, and checkpoint/resume.
-//!
-//! The warm closure engine ([`crate::closure_inc`]) is protected in
-//! debug builds by a differential oracle that vanishes in release
-//! builds. This module is the release-mode safety net around it, plus
-//! the operational controls a long-running solve needs:
+//! The solve supervisor: the operational controls a long-running solve
+//! needs, and the record of how far a solve degraded.
 //!
 //! * **Budgets** — [`SolveBudget`] bounds wall time, iterations and an
 //!   estimated memory footprint. Expiry is communicated through a
@@ -12,24 +7,19 @@
 //!   phase boundaries; the solver then returns
 //!   [`SolveOutcome::Degraded`] carrying the best feasible retiming
 //!   found so far instead of erroring.
-//! * **Circuit breaker** — each warm closure call runs under
-//!   `catch_unwind`, and every Nth call is audited against the
-//!   from-scratch engine. A panic or a divergence trips the breaker,
-//!   which permanently falls back Warm→Fresh for the rest of the
-//!   solve. Trips are recorded in the [`DegradationReport`] surfaced
-//!   through [`crate::algorithm::SolverStats`].
 //! * **Checkpoints** — [`Checkpoint`] serializes the solver state
 //!   (retiming labels, constraint weights, frozen set, active arcs,
 //!   iteration counts) to a caller-supplied [`CheckpointSink`] so an
 //!   interrupted solve can resume where it left off.
+//! * **Degradation** — [`DegradationReport`], surfaced through
+//!   [`crate::algorithm::SolverStats`], records budget stops, failed
+//!   checkpoint writes, restarts of the warm closure engine (whose
+//!   every answer is certified, [`crate::closure_inc`]) and trips of
+//!   the SER engine's ODC breaker.
 //!
-//! The degradation ladder, from fastest to most conservative:
-//!
-//! ```text
-//! warm closure                            (default)
-//!   └─ breaker trip ──▶ fresh closure
-//!        └─ final verification failure ──▶ full from-scratch re-solve
-//! ```
+//! A solve whose result fails the final `check_feasible` gate, or
+//! whose restarted closure engine fails its certificate again, ends in
+//! [`SolveError::Verification`].
 
 use std::fmt;
 use std::io;
@@ -182,66 +172,31 @@ impl fmt::Display for StopReason {
     }
 }
 
-/// What tripped a circuit breaker.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TripCause {
-    /// The engine panicked; the panic was caught and isolated.
-    Panic,
-    /// A sampled audit found the engine's answer diverging from the
-    /// from-scratch oracle.
-    Divergence,
-}
-
-impl fmt::Display for TripCause {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            TripCause::Panic => write!(f, "panic"),
-            TripCause::Divergence => write!(f, "divergence"),
-        }
-    }
-}
-
-/// One circuit-breaker trip. Breakers are permanent for the rest of
-/// the solve, so each breaker trips at most once.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BreakerTrip {
-    /// The solver iteration (total, across phases) at which the
-    /// breaker tripped.
-    pub iteration: usize,
-    /// Panic or audited divergence.
-    pub cause: TripCause,
-}
-
 /// How far a solve degraded from its configured fast paths. Surfaced
 /// through [`crate::algorithm::SolverStats::degradation`] and printed
 /// by the `retimer` CLI.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DegradationReport {
-    /// The warm closure engine's breaker (fallback: fresh builds).
-    pub closure_trip: Option<BreakerTrip>,
-    /// The ODC engine's per-frame audit breaker (fallback: the scalar
-    /// ODC engine). `iteration` is 0: the trip happens during SER
-    /// analysis, outside the solve loop.
-    pub ser_trip: Option<BreakerTrip>,
+    /// Warm closure engines replaced by a new one because the
+    /// certificate rejected their answer.
+    pub closure_restarts: u32,
+    /// The ODC engine's per-frame audit breaker tripped during SER
+    /// analysis (fallback: the scalar ODC engine).
+    pub ser_trip: bool,
     /// Set when a budget stopped the solve early.
     pub budget_stop: Option<StopReason>,
-    /// The final verification gate found the result infeasible and the
-    /// whole solve was redone with the from-scratch closure engine (the
-    /// last rung of the degradation ladder).
-    pub full_restart: bool,
     /// Checkpoint writes that failed (the solve continues; the sink
     /// error is not fatal).
     pub checkpoint_write_failures: u32,
 }
 
 impl DegradationReport {
-    /// `true` when nothing degraded: no trips, no budget stop, no
-    /// restart, no failed checkpoint writes.
+    /// `true` when nothing degraded: no restart, no trip, no budget
+    /// stop, no failed checkpoint writes.
     pub fn is_clean(&self) -> bool {
-        self.closure_trip.is_none()
-            && self.ser_trip.is_none()
+        self.closure_restarts == 0
+            && !self.ser_trip
             && self.budget_stop.is_none()
-            && !self.full_restart
             && self.checkpoint_write_failures == 0
     }
 }
@@ -252,20 +207,16 @@ impl fmt::Display for DegradationReport {
             return write!(f, "clean");
         }
         let mut sep = "";
-        if let Some(t) = self.closure_trip {
+        if self.closure_restarts > 0 {
             write!(
                 f,
-                "closure breaker tripped ({}, iter {})",
-                t.cause, t.iteration
+                "closure engine restarted {} time(s) on a rejected certificate",
+                self.closure_restarts
             )?;
             sep = "; ";
         }
-        if let Some(t) = self.ser_trip {
-            write!(f, "{sep}SER engine breaker tripped ({})", t.cause)?;
-            sep = "; ";
-        }
-        if self.full_restart {
-            write!(f, "{sep}full from-scratch re-solve")?;
+        if self.ser_trip {
+            write!(f, "{sep}SER engine breaker tripped (divergence)")?;
             sep = "; ";
         }
         if let Some(reason) = self.budget_stop {
@@ -280,50 +231,6 @@ impl fmt::Display for DegradationReport {
             )?;
         }
         Ok(())
-    }
-}
-
-/// Test-only fault injection, reachable through
-/// `SolverConfig::with_sabotage`. `at` is the 1-based closure call
-/// index from which the fault fires (every call from there on). Public
-/// so integration tests can poison the warm closure engine; hidden
-/// from docs and never set by production code.
-#[doc(hidden)]
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub enum Sabotage {
-    /// No fault injection (the default).
-    #[default]
-    None,
-    /// The warm closure engine panics on every call ≥ `at`.
-    PanicClosure {
-        /// First affected call (1-based).
-        at: u64,
-    },
-    /// The warm closure engine returns a corrupted member set on every
-    /// call ≥ `at`.
-    WrongClosure {
-        /// First affected call (1-based).
-        at: u64,
-    },
-}
-
-impl Sabotage {
-    /// Corrupts (or panics on) a closure selection. Returns `true` if
-    /// the member set was modified, so the debug-build oracle knows to
-    /// stand down and let the sampled audit catch it.
-    pub(crate) fn corrupt_closure(self, call: u64, members: &mut Vec<VertexId>) -> bool {
-        match self {
-            Sabotage::PanicClosure { at } if call >= at => {
-                panic!("sabotage: forced closure-engine panic at call {call}")
-            }
-            Sabotage::WrongClosure { at } if call >= at => {
-                if members.pop().is_none() {
-                    members.push(VertexId::new(1));
-                }
-                true
-            }
-            _ => false,
-        }
     }
 }
 
@@ -703,15 +610,14 @@ pub type ProgressFn = dyn Fn(SolveProgress) + Send + Sync;
 pub type MemoryProbe = dyn Fn() -> usize + Send + Sync;
 
 /// Supervision controls for one solver run: a budget, an optional
-/// checkpoint sink, an optional checkpoint to resume from, the
-/// sampled-audit interval, and an optional progress stream. Pass to
+/// checkpoint sink, an optional checkpoint to resume from, an optional
+/// progress stream and memory probe. Pass to
 /// [`crate::SolverSession::run_supervised`].
 pub struct Supervision {
     pub(crate) budget: SolveBudget,
     pub(crate) sink: Option<Box<dyn CheckpointSink>>,
     pub(crate) checkpoint_every: usize,
     pub(crate) resume: Option<Checkpoint>,
-    pub(crate) audit_interval: u64,
     pub(crate) progress: Option<Arc<ProgressFn>>,
     pub(crate) progress_every: usize,
     pub(crate) memory_probe: Option<Arc<MemoryProbe>>,
@@ -724,7 +630,6 @@ impl fmt::Debug for Supervision {
             .field("sink", &self.sink.is_some())
             .field("checkpoint_every", &self.checkpoint_every)
             .field("resume", &self.resume.is_some())
-            .field("audit_interval", &self.audit_interval)
             .field("progress", &self.progress.is_some())
             .field("progress_every", &self.progress_every)
             .field("memory_probe", &self.memory_probe.is_some())
@@ -739,7 +644,6 @@ impl Default for Supervision {
             sink: None,
             checkpoint_every: 16,
             resume: None,
-            audit_interval: DEFAULT_AUDIT_INTERVAL,
             progress: None,
             progress_every: DEFAULT_PROGRESS_INTERVAL,
             memory_probe: None,
@@ -747,17 +651,13 @@ impl Default for Supervision {
     }
 }
 
-/// Default sampled-audit interval: every Nth warm closure call is
-/// re-run on the from-scratch engine and compared bit-for-bit.
-pub const DEFAULT_AUDIT_INTERVAL: u64 = 64;
-
 /// Default progress-stream interval: [`Supervision::on_progress`]
 /// fires every Nth solver iteration.
 pub const DEFAULT_PROGRESS_INTERVAL: usize = 32;
 
 impl Supervision {
-    /// Default supervision: unlimited budget, no checkpoints, audits
-    /// every [`DEFAULT_AUDIT_INTERVAL`]th engine call.
+    /// Default supervision: unlimited budget, no checkpoints, no
+    /// progress stream.
     pub fn new() -> Self {
         Self::default()
     }
@@ -788,15 +688,6 @@ impl Supervision {
     #[must_use]
     pub fn resume_from(mut self, checkpoint: Checkpoint) -> Self {
         self.resume = Some(checkpoint);
-        self
-    }
-
-    /// Audits every `n`th warm closure call against the
-    /// from-scratch oracle (default [`DEFAULT_AUDIT_INTERVAL`];
-    /// clamped to at least 1 — 1 audits every call).
-    #[must_use]
-    pub fn audit_every(mut self, n: u64) -> Self {
-        self.audit_interval = n.max(1);
         self
     }
 
@@ -835,12 +726,11 @@ pub fn memory_estimate(graph: &RetimeGraph, system: &ConstraintSystem) -> usize 
     graph.num_vertices() * 96 + graph.num_edges() * 48 + system.num_arcs() * 64
 }
 
-/// The supervisor's per-run state: resolved deadline, breaker flags,
-/// checkpoint plumbing and the accumulating [`DegradationReport`].
+/// The supervisor's per-run state: resolved deadline, checkpoint
+/// plumbing and the accumulating [`DegradationReport`].
 pub(crate) struct SupervisorRt {
     budget: SolveBudget,
     deadline: Option<Instant>,
-    audit_interval: u64,
     sink: Option<Box<dyn CheckpointSink>>,
     checkpoint_every: usize,
     resume: Option<Checkpoint>,
@@ -868,7 +758,6 @@ impl SupervisorRt {
             .and_then(|d| Instant::now().checked_add(d));
         Self {
             deadline,
-            audit_interval: supervision.audit_interval,
             sink: supervision.sink,
             checkpoint_every: supervision.checkpoint_every,
             resume: supervision.resume,
@@ -928,11 +817,6 @@ impl SupervisorRt {
         self.stop.is_some()
     }
 
-    /// Whether call number `calls` (1-based) is a sampled-audit point.
-    pub(crate) fn audit_due(&self, calls: u64) -> bool {
-        calls.is_multiple_of(self.audit_interval)
-    }
-
     /// Streams progress to the registered callback at the configured
     /// cadence (a no-op without one).
     pub(crate) fn tick_progress(&self, iterations: usize, commits: usize) {
@@ -943,16 +827,6 @@ impl SupervisorRt {
                     commits,
                 });
             }
-        }
-    }
-
-    pub(crate) fn closure_allowed(&self) -> bool {
-        self.report.closure_trip.is_none()
-    }
-
-    pub(crate) fn trip_closure(&mut self, iteration: usize, cause: TripCause) {
-        if self.report.closure_trip.is_none() {
-            self.report.closure_trip = Some(BreakerTrip { iteration, cause });
         }
     }
 
@@ -1221,21 +1095,16 @@ mod tests {
         assert!(clean.is_clean());
         assert_eq!(clean.to_string(), "clean");
         let report = DegradationReport {
-            closure_trip: Some(BreakerTrip {
-                iteration: 9,
-                cause: TripCause::Panic,
-            }),
+            closure_restarts: 1,
             budget_stop: Some(StopReason::WallTime),
             ..DegradationReport::default()
         };
+        assert!(!report.is_clean());
         let text = report.to_string();
-        assert!(text.contains("closure breaker"));
+        assert!(text.contains("closure engine restarted 1 time(s)"));
         assert!(text.contains("wall-time"));
         let ser = DegradationReport {
-            ser_trip: Some(BreakerTrip {
-                iteration: 0,
-                cause: TripCause::Divergence,
-            }),
+            ser_trip: true,
             ..DegradationReport::default()
         };
         assert!(!ser.is_clean());

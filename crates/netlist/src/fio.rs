@@ -10,9 +10,9 @@
 //!   durable write in the daemon and the checkpoint sink goes through
 //!   these functions instead of raw `std::fs`. With no [`FaultPlan`]
 //!   installed they are plain passthroughs (one relaxed atomic load of
-//!   overhead). With a plan installed — programmatically in tests, or
-//!   via the [`FAULT_PLAN_ENV`] environment variable in the style of
-//!   the `SABOTAGE_*` seeds — deterministic seeded faults are
+//!   overhead). With a plan installed through [`install`] — by tests,
+//!   or by `retimer serve` from its `SABOTAGE_FIO_PLAN` environment
+//!   variable — deterministic seeded faults are
 //!   injected: `ENOSPC` on the Nth write, torn writes truncated at a
 //!   seeded byte, kill-during-rename orphans leaving only `.tmp`
 //!   files, bit-flip corruption of stored payloads, and `EIO` on
@@ -35,11 +35,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 use crate::digest::{content_digest, format_digest, parse_digest, Fnv1a};
-
-/// Environment variable holding a fault-plan spec, parsed by
-/// [`FaultPlan::parse`] and installed by [`install_from_env`]. Example:
-/// `SABOTAGE_FIO_PLAN="seed=0xC0FFEE,enospc=7,tear=11,flip=5,orphan=13"`.
-pub const FAULT_PLAN_ENV: &str = "SABOTAGE_FIO_PLAN";
 
 /// A deterministic, seeded plan of filesystem faults. Each `*_every`
 /// knob injects its fault on every Nth operation of that category
@@ -182,27 +177,6 @@ pub fn install(plan: FaultPlan) {
 pub fn clear() {
     *PLAN.lock().expect("fault plan poisoned") = None;
     ACTIVE.store(false, Ordering::SeqCst);
-}
-
-/// Parses [`FAULT_PLAN_ENV`] and installs the plan it describes.
-/// Returns the installed plan, or `None` when the variable is unset.
-/// A malformed spec is **not** silently ignored: a structured warning
-/// naming the rejected value is printed and nothing is installed.
-pub fn install_from_env() -> Option<FaultPlan> {
-    let value = std::env::var(FAULT_PLAN_ENV).ok()?;
-    match FaultPlan::parse(&value) {
-        Ok(plan) => {
-            install(plan);
-            Some(plan)
-        }
-        Err(reason) => {
-            eprintln!(
-                "warning: ignoring {FAULT_PLAN_ENV}=\"{value}\": {reason} \
-                 (no faults will be injected)"
-            );
-            None
-        }
-    }
 }
 
 /// A snapshot of the shim's operation and injection counters.
@@ -631,9 +605,9 @@ mod tests {
 
     #[test]
     fn env_spec_installs_and_garbage_is_rejected() {
-        // `install_from_env` reads the process environment; exercise
-        // the parser paths it delegates to instead of mutating global
-        // env state under the parallel test harness.
+        // `retimer serve` parses its environment's plan with
+        // `FaultPlan::parse`; exercise the parser instead of mutating
+        // global env state under the parallel test harness.
         assert!(FaultPlan::parse("seed=9,flip=4").is_ok());
         assert!(FaultPlan::parse("flip=never").is_err());
     }

@@ -5,8 +5,10 @@
 //! no worker holds it while parsing or solving. Progress callbacks
 //! take it briefly to update the job's `Running` snapshot.
 
+use std::any::Any;
 use std::collections::{HashMap, VecDeque};
 use std::io;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::{Arc, Condvar, Mutex};
@@ -493,6 +495,13 @@ fn validate_id(id: &str) -> Result<(), String> {
 }
 
 fn worker_loop(shared: &Arc<Shared>) {
+    serve_jobs(shared, run_job);
+}
+
+/// Takes queued jobs until the daemon drains and runs each through
+/// `job` behind the daemon's one panic boundary: a job that panics
+/// ends `Failed` with exit 3, and the worker goes on to the next job.
+fn serve_jobs(shared: &Arc<Shared>, job: fn(&Arc<Shared>, &JobSpec)) {
     loop {
         let spec = {
             let mut st = shared.state.lock().expect("daemon state poisoned");
@@ -506,12 +515,61 @@ fn worker_loop(shared: &Arc<Shared>) {
                 st = shared.cv.wait(st).expect("daemon state poisoned");
             }
         };
-        run_job(shared, &spec);
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(shared, &spec))) {
+            fail_panicked(shared, &spec.id, payload.as_ref());
+        }
     }
 }
 
-/// Runs one job to a terminal state. Never panics the worker: every
-/// failure path maps onto `JobState::Failed` with a stable exit code.
+/// Ends a job whose body panicked: `Failed` with exit 3, its
+/// checkpoints dropped as after a finished solve.
+fn fail_panicked(shared: &Shared, id: &str, payload: &(dyn Any + Send)) {
+    let (terminal, key) = {
+        let st = shared.state.lock().expect("daemon state poisoned");
+        st.jobs.get(id).map_or((true, None), |entry| {
+            (entry.state.is_terminal(), entry.result_key.clone())
+        })
+    };
+    if terminal {
+        return;
+    }
+    if let Some(key) = &key {
+        drop_checkpoints(shared, key);
+    }
+    let message = payload
+        .downcast_ref::<&str>()
+        .copied()
+        .or_else(|| payload.downcast_ref::<String>().map(String::as_str))
+        .unwrap_or("a panic without a message");
+    let error = format!("internal error: {message}");
+    finish(shared, id, JobState::Failed { exit: 3, error }, false, key);
+}
+
+/// Records a job's terminal state, drops its recovery file and emits
+/// the terminal event.
+fn finish(shared: &Shared, id: &str, state: JobState, cached: bool, key: Option<String>) {
+    shared.set_state(id, state.clone());
+    shared.cache.remove_job(id);
+    shared.emit(Event::Terminal {
+        id: id.to_string(),
+        state,
+        cached,
+        key,
+    });
+}
+
+/// Deletes the solve checkpoints of the result `result_key`: a solve
+/// that is over must not leave resume bait behind.
+fn drop_checkpoints(shared: &Shared, result_key: &str) {
+    let prefix = shared.cache.checkpoint_prefix(result_key);
+    for method in ["minobs", "minobswin"] {
+        let _ = netlist::fio::remove_file(&checkpoint_path(&prefix, method));
+    }
+}
+
+/// Runs one job to a terminal state: every failure path maps onto
+/// `JobState::Failed` with a stable exit code (a panic is caught by
+/// [`serve_jobs`]).
 fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
     let id = spec.id.as_str();
     let (token, admitted, cancelled_early) = {
@@ -527,17 +585,6 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         return;
     }
 
-    let finish = |state: JobState, cached: bool, key: Option<String>| {
-        shared.set_state(id, state.clone());
-        shared.cache.remove_job(id);
-        shared.emit(Event::Terminal {
-            id: id.to_string(),
-            state,
-            cached,
-            key,
-        });
-    };
-
     // --- spec sanity --------------------------------------------------
     // A simulation size the SER engine cannot run, or a budget no
     // `Duration` can hold, would panic the worker thread deep in the
@@ -548,7 +595,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
     let wall_time = match sim.validate().and(spec.wall_time()) {
         Ok(wall_time) => wall_time.or(shared.defaults.0),
         Err(error) => {
-            finish(JobState::Failed { exit: 2, error }, false, None);
+            finish(shared, id, JobState::Failed { exit: 2, error }, false, None);
             return;
         }
     };
@@ -561,7 +608,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         .deadline_ms
         .is_some_and(|ms| admitted.elapsed() >= Duration::from_millis(ms))
     {
-        finish(JobState::Expired, false, None);
+        finish(shared, id, JobState::Expired, false, None);
         return;
     }
 
@@ -576,7 +623,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         Err(e) => {
             let error = e.to_string();
             let exit = minobswin::SolveError::Netlist(e).exit_code();
-            finish(JobState::Failed { exit, error }, false, None);
+            finish(shared, id, JobState::Failed { exit, error }, false, None);
             return;
         }
     };
@@ -621,7 +668,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         }
     }
     if shared.cache.lookup_result(&result_key).is_some() {
-        finish(JobState::Done, true, Some(result_key));
+        finish(shared, id, JobState::Done, true, Some(result_key));
         return;
     }
 
@@ -631,7 +678,6 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         .with_max_iterations(spec.max_iters.or(shared.defaults.1))
         .with_token(token);
 
-    let checkpoint_prefix = shared.cache.checkpoint_prefix(&result_key);
     let progress = {
         let shared = Arc::clone(shared);
         let id = id.to_string();
@@ -661,17 +707,12 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         .with_sim(sim)
         .with_r_min_override(spec.r_min)
         .with_budget(budget)
-        .with_checkpoint(Some(checkpoint_prefix.clone()))
+        .with_checkpoint(Some(shared.cache.checkpoint_prefix(&result_key)))
         .with_resume(true)
         .with_progress(Arc::new(progress));
 
     let run = Experiment::new(&circuit).config(cfg).run();
-
-    // Either way the solve is over; drop its checkpoints (a finished
-    // run must not leave resume bait behind).
-    for method in ["minobs", "minobswin"] {
-        let _ = netlist::fio::remove_file(&checkpoint_path(&checkpoint_prefix, method));
-    }
+    drop_checkpoints(shared, &result_key);
 
     let cancel_requested = {
         let st = shared.state.lock().expect("daemon state poisoned");
@@ -682,6 +723,8 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         Ok(run) => run,
         Err(e) => {
             finish(
+                shared,
+                id,
                 JobState::Failed {
                     exit: e.exit_code(),
                     error: e.to_string(),
@@ -703,7 +746,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         } else {
             JobState::Degraded
         };
-        finish(state, false, Some(result_key));
+        finish(shared, id, state, false, Some(result_key));
         return;
     }
 
@@ -728,7 +771,7 @@ fn run_job(shared: &Arc<Shared>, spec: &JobSpec) {
         ("commits", Json::num(method_result.stats.commits as f64)),
     ]);
     let _ = shared.cache.store_result(&result_key, &bench, &meta);
-    finish(JobState::Done, false, Some(result_key));
+    finish(shared, id, JobState::Done, false, Some(result_key));
 }
 
 fn parse_job(
@@ -761,4 +804,84 @@ fn rename_canonical(circuit: Circuit) -> Circuit {
     let text = bench_format::write(&circuit);
     bench_format::parse(&text, CANONICAL_NAME)
         .expect("invariant: bench writer output always re-parses")
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::job::NetlistFormat;
+
+    /// The job body of the boundary test: job `boom` panics, every
+    /// other job runs for real.
+    fn boom_then_run(shared: &Arc<Shared>, spec: &JobSpec) {
+        if spec.id == "boom" {
+            panic!("planted in job boom");
+        }
+        run_job(shared, spec);
+    }
+
+    #[test]
+    fn panicking_job_fails_with_exit_3_and_the_worker_serves_the_next() {
+        let dir = std::env::temp_dir().join(format!("serve_panic_boundary_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (tx, rx) = mpsc::channel();
+        let shared = Arc::new(Shared {
+            state: Mutex::new(State {
+                pending: VecDeque::new(),
+                jobs: HashMap::new(),
+                admitting: 0,
+                // Draining: the worker loop returns once the queue is empty.
+                draining: true,
+            }),
+            cv: Condvar::new(),
+            cache: ResultCache::open(&dir).expect("cache opens"),
+            tx: Mutex::new(tx),
+            defaults: (None, None),
+        });
+        let source = bench_format::write(&netlist::samples::s27_like());
+        for id in ["boom", "next"] {
+            let mut spec = JobSpec::new(id, source.clone(), NetlistFormat::Bench);
+            spec.vectors = 64;
+            spec.frames = 4;
+            let mut st = shared.state.lock().unwrap();
+            st.jobs.insert(
+                id.to_string(),
+                JobEntry {
+                    state: JobState::Queued,
+                    token: CancelToken::new(),
+                    cancel_requested: false,
+                    result_key: None,
+                    admitted: Instant::now(),
+                },
+            );
+            st.pending.push_back(spec);
+        }
+
+        serve_jobs(&shared, boom_then_run);
+
+        let terminal: Vec<(String, JobState)> = rx
+            .try_iter()
+            .filter_map(|event| match event {
+                Event::Terminal { id, state, .. } => Some((id, state)),
+                _ => None,
+            })
+            .collect();
+        let boom = JobState::Failed {
+            exit: 3,
+            error: "internal error: planted in job boom".to_string(),
+        };
+        assert_eq!(
+            terminal,
+            vec![
+                ("boom".to_string(), boom.clone()),
+                ("next".to_string(), JobState::Done)
+            ]
+        );
+        let st = shared.state.lock().unwrap();
+        assert_eq!(st.jobs["boom"].state, boom);
+        assert_eq!(st.jobs["next"].state, JobState::Done);
+        assert_eq!(boom.exit_code(), Some(3));
+        drop(st);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
 }

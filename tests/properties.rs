@@ -408,6 +408,8 @@ proptest! {
         prop_assert_eq!(&warm.retiming, &fresh.retiming);
         prop_assert_eq!(warm.objective_gain, fresh.objective_gain);
         prop_assert_eq!(warm.stats.commits, fresh.stats.commits);
+        // Every warm answer passed its certificate: no engine restarted.
+        prop_assert!(warm.stats.degradation.is_clean(), "{}", warm.stats.degradation);
         prop_assert_eq!(warm.stats.perf.closure_calls, fresh.stats.perf.closure_calls);
         // The warm engine must not lose to the from-scratch engine.
         // Batched constraint learning leaves too few closure calls on

@@ -1,22 +1,16 @@
-//! Resilience tests for the solve supervisor: a sabotaged warm closure
-//! engine must trip its circuit breaker and self-heal onto the
-//! from-scratch engine without changing the result; budgets must
-//! degrade gracefully to a feasible retiming; checkpoint/resume must
-//! reach the same answer as an uninterrupted run.
+//! Resilience tests for the solve supervisor: budgets must degrade
+//! gracefully to a feasible retiming; checkpoint/resume must reach the
+//! same answer as an uninterrupted run.
 
 use std::io;
 use std::sync::{Arc, Mutex};
 
-use minobswin::algorithm::SolverConfig;
-use minobswin::closure_inc::ClosureEngine;
-use minobswin::supervisor::{Sabotage, TripCause};
 use minobswin::verify::check_feasible;
 use minobswin::{
     Checkpoint, CheckpointSink, Problem, SolveBudget, SolveError, SolveOutcome, SolverSession,
     StopReason, Supervision,
 };
 use netlist::{samples, DelayModel};
-use proptest::prelude::*;
 use retime::{ElwParams, RetimeGraph};
 
 fn instance(phi: i64) -> (RetimeGraph, Problem) {
@@ -25,10 +19,6 @@ fn instance(phi: i64) -> (RetimeGraph, Problem) {
     let counts = vec![1i64; g.num_vertices()];
     let p = Problem::from_observability_counts(&g, &counts, ElwParams::with_phi(phi), 1);
     (g, p)
-}
-
-fn fresh_config() -> SolverConfig {
-    SolverConfig::default().with_closure_engine(ClosureEngine::Fresh)
 }
 
 /// A checkpoint sink whose contents outlive the solver run.
@@ -49,93 +39,6 @@ impl CheckpointSink for SharedSink {
     fn save(&mut self, checkpoint: &Checkpoint) -> io::Result<()> {
         self.0.lock().unwrap().push(checkpoint.clone());
         Ok(())
-    }
-}
-
-// ---------------------------------------------------------------------
-// Panic isolation and self-healing fallback
-// ---------------------------------------------------------------------
-
-#[test]
-fn closure_panic_trips_breaker_and_matches_all_fresh() {
-    let (g, p) = instance(10);
-    let baseline = SolverSession::new(&g, &p)
-        .config(fresh_config())
-        .run()
-        .unwrap();
-    let outcome = SolverSession::new(&g, &p)
-        .config(SolverConfig::default().with_sabotage(Sabotage::PanicClosure { at: 1 }))
-        .run_supervised(Supervision::new().audit_every(1))
-        .unwrap();
-    let sol = outcome.into_solution();
-    let trip = sol
-        .stats
-        .degradation
-        .closure_trip
-        .expect("forced panic must trip the closure breaker");
-    assert_eq!(trip.cause, TripCause::Panic);
-    assert!(sol.stats.perf.breaker_trips >= 1);
-    assert_eq!(sol.retiming, baseline.retiming);
-    assert_eq!(sol.objective_gain, baseline.objective_gain);
-    assert!(check_feasible(&g, &p, &sol.retiming).is_ok());
-}
-
-#[test]
-fn closure_divergence_is_caught_by_audit_and_matches_all_fresh() {
-    let (g, p) = instance(10);
-    let baseline = SolverSession::new(&g, &p)
-        .config(fresh_config())
-        .run()
-        .unwrap();
-    let outcome = SolverSession::new(&g, &p)
-        .config(SolverConfig::default().with_sabotage(Sabotage::WrongClosure { at: 1 }))
-        .run_supervised(Supervision::new().audit_every(1))
-        .unwrap();
-    let sol = outcome.into_solution();
-    let trip = sol
-        .stats
-        .degradation
-        .closure_trip
-        .expect("a corrupted closure must be caught by the every-call audit");
-    assert_eq!(trip.cause, TripCause::Divergence);
-    assert_eq!(sol.retiming, baseline.retiming);
-    assert_eq!(sol.objective_gain, baseline.objective_gain);
-}
-
-proptest! {
-    /// However the closure engine is poisoned and whenever the poison
-    /// fires, the every-call audit guarantees the final answer is
-    /// bit-identical to an all-from-scratch run, and any trip is
-    /// recorded.
-    #[test]
-    fn sabotage_never_changes_the_answer(
-        kind in prop::sample::select(vec![0usize, 1]),
-        at in 1u64..6,
-    ) {
-        let sabotage = match kind {
-            0 => Sabotage::PanicClosure { at },
-            _ => Sabotage::WrongClosure { at },
-        };
-        let (g, p) = instance(10);
-        let baseline = SolverSession::new(&g, &p)
-            .config(fresh_config())
-            .run()
-            .unwrap();
-        let outcome = SolverSession::new(&g, &p)
-            .config(SolverConfig::default().with_sabotage(sabotage))
-            .run_supervised(Supervision::new().audit_every(1))
-            .unwrap();
-        let sol = outcome.into_solution();
-        prop_assert_eq!(&sol.retiming, &baseline.retiming);
-        prop_assert_eq!(sol.objective_gain, baseline.objective_gain);
-        let report = sol.stats.degradation;
-        // The breaker counter agrees with the report, and the final
-        // gate never had to restart the solve.
-        prop_assert!(!report.full_restart);
-        prop_assert_eq!(
-            sol.stats.perf.breaker_trips,
-            u64::from(report.closure_trip.is_some())
-        );
     }
 }
 

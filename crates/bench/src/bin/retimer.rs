@@ -88,7 +88,7 @@ use faultsim::{
 use minobswin::experiment::{Experiment, MethodResult, RunConfig};
 use minobswin::SolveError;
 use netlist::{bench_format, blif, verilog, Circuit, NetlistError, ParseLimits};
-use retime::{ElwParams, RetimeGraph};
+use retime::RetimeGraph;
 use ser_engine::equiv::{check_equivalence, EquivConfig};
 use ser_engine::sim::SimConfig;
 use ser_engine::{
@@ -371,16 +371,7 @@ fn run_fault_sim(mut args: Args) -> Result<u8, CliError> {
 
     let config = RunConfig::default().with_sim(sim);
     let run = Experiment::new(&circuit).config(config.clone()).run()?;
-    let ser_config = SerConfig {
-        sim: config.sim,
-        delays: config.delays.clone(),
-        rates: config.rates.clone(),
-        elw: ElwParams {
-            phi: run.phi,
-            t_setup: config.init.t_setup,
-            t_hold: config.init.t_hold,
-        },
-    };
+    let ser_config = config.ser_config(run.phi);
 
     let score = |label: &str, c: &Circuit| -> Result<f64, CliError> {
         let report = analyze(c, &ser_config)?;
@@ -471,25 +462,16 @@ fn prepare_estimate(mut args: Args) -> Result<EstimateArgs, CliError> {
     let validate = !args.switch("--no-validate");
     let circuit = read_netlist(&args.input()?)?;
 
-    let defaults = RunConfig::default();
+    let config = RunConfig::default().with_sim(sim);
     let phi = match phi {
         Some(phi) => phi,
         None => {
-            let graph = RetimeGraph::from_circuit(&circuit, &defaults.delays)?;
-            defaults.init.initialize(&graph)?.phi
+            let graph = RetimeGraph::from_circuit(&circuit, &config.delays)?;
+            config.init.initialize(&graph)?.phi
         }
     };
     println!("Phi = {phi}");
-    let ser_config = SerConfig {
-        sim,
-        delays: defaults.delays.clone(),
-        rates: defaults.rates.clone(),
-        elw: ElwParams {
-            phi,
-            t_setup: defaults.init.t_setup,
-            t_hold: defaults.init.t_hold,
-        },
-    };
+    let ser_config = config.ser_config(phi);
     Ok(EstimateArgs {
         circuit,
         ser_config,

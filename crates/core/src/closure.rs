@@ -34,7 +34,7 @@
 //! remembers log cursors can reconstruct exactly the capacity deltas
 //! between two closure calls.
 
-use std::collections::HashMap;
+use std::collections::HashSet;
 
 use retime::VertexId;
 
@@ -46,9 +46,10 @@ pub struct ConstraintSystem {
     b: Vec<i64>,
     weight: Vec<i64>,
     frozen: Vec<bool>,
-    arcs: HashMap<u32, Vec<u32>>,
-    arc_set: HashMap<(u32, u32), ()>,
-    num_arcs: usize,
+    /// Membership index of `arc_log`, for deduplication.
+    arc_set: HashSet<(u32, u32)>,
+    /// Every distinct arc once, in insertion order: the one copy the
+    /// networks are built from.
     arc_log: Vec<(u32, u32)>,
     gain_log: Vec<u32>,
 }
@@ -71,9 +72,7 @@ impl ConstraintSystem {
             b,
             weight,
             frozen,
-            arcs: HashMap::new(),
-            arc_set: HashMap::new(),
-            num_arcs: 0,
+            arc_set: HashSet::new(),
             arc_log: Vec::new(),
             gain_log: Vec::new(),
         }
@@ -157,19 +156,16 @@ impl ConstraintSystem {
             return false;
         }
         let key = (p.index() as u32, q.index() as u32);
-        if self.arc_set.insert(key, ()).is_none() {
-            self.arcs.entry(key.0).or_default().push(key.1);
+        let new = self.arc_set.insert(key);
+        if new {
             self.arc_log.push(key);
-            self.num_arcs += 1;
-            true
-        } else {
-            false
         }
+        new
     }
 
     /// Number of stored constraint arcs.
     pub fn num_arcs(&self) -> usize {
-        self.num_arcs
+        self.arc_log.len()
     }
 
     /// Computes the maximum-gain closed set under the current arcs,
@@ -209,10 +205,8 @@ impl ConstraintSystem {
                 dinic.add_edge(v, sink, -gain);
             }
         }
-        for (&from, tos) in &self.arcs {
-            for &to in tos {
-                dinic.add_edge(from as usize, to as usize, INF);
-            }
+        for &(from, to) in &self.arc_log {
+            dinic.add_edge(from as usize, to as usize, INF);
         }
         if total_positive == 0 {
             return (Vec::new(), dinic.touched);
@@ -250,17 +244,9 @@ impl ConstraintSystem {
             }
             inside[v.index()] = true;
         }
-        for (&from, tos) in &self.arcs {
-            if !inside[from as usize] {
-                continue;
-            }
-            for &to in tos {
-                if !inside[to as usize] {
-                    return false;
-                }
-            }
-        }
-        true
+        self.arc_log
+            .iter()
+            .all(|&(from, to)| !inside[from as usize] || inside[to as usize])
     }
 }
 
@@ -500,6 +486,32 @@ mod tests {
         let (set, touched) = cs.max_gain_closed_set_counted();
         assert_eq!(set, cs.max_gain_closed_set());
         assert!(touched > 0, "network build alone touches arcs");
+    }
+
+    #[test]
+    fn same_calls_select_the_same_set_with_the_same_work() {
+        // The network is built from the insertion-ordered arc log, so
+        // two systems built by the same calls touch the same arcs; an
+        // arc order read off a hashed map differs from map to map.
+        for seed in 0..40 {
+            let build = || {
+                let mut rng = netlist::rng::SplitMix64::new(seed);
+                let mut draw = |m: u64| rng.next_u64() % m;
+                let gains = (0..60)
+                    .map(|i| if i == 0 { 0 } else { draw(20) as i64 - 10 })
+                    .collect();
+                let mut cs = ConstraintSystem::new(gains);
+                for _ in 0..150 {
+                    cs.add_arc(v(1 + draw(59) as usize), v(1 + draw(59) as usize));
+                }
+                cs
+            };
+            assert_eq!(
+                build().max_gain_closed_set_counted(),
+                build().max_gain_closed_set_counted(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -27,9 +27,9 @@ use crate::SolveError;
 /// Configuration of a full experiment run.
 ///
 /// Construct with [`RunConfig::default`] (or [`RunConfig::small`]) and
-/// chain `with_*` builders — the struct is `#[non_exhaustive]`, so
-/// literals do not compile outside this crate and future knobs are
-/// non-breaking.
+/// set what differs through its `with_*` builders or public fields. The
+/// struct is `#[non_exhaustive]`, so literals do not compile outside
+/// this crate and future knobs are non-breaking.
 #[derive(Debug, Clone, Default)]
 #[non_exhaustive]
 pub struct RunConfig {
@@ -60,9 +60,7 @@ pub struct RunConfig {
     /// (the `retimer --resume` flag; requires [`RunConfig::checkpoint`]).
     pub resume: bool,
     /// Base solver configuration shared by both methods (the MinObs
-    /// baseline additionally applies `with_p2(false)`). Lets embedding
-    /// callers select e.g. the closure engine without bypassing the
-    /// experiment driver.
+    /// baseline additionally applies `with_p2(false)`).
     pub solver: SolverConfig,
     /// Phase/progress event stream (see [`ExperimentEvent`]); unset by
     /// default.
@@ -133,24 +131,6 @@ impl RunConfig {
         self
     }
 
-    /// Sets the gate delay model.
-    pub fn with_delays(mut self, delays: DelayModel) -> Self {
-        self.delays = delays;
-        self
-    }
-
-    /// Sets the raw rate characterization.
-    pub fn with_rates(mut self, rates: ErrorRateModel) -> Self {
-        self.rates = rates;
-        self
-    }
-
-    /// Sets the §V initialization knobs.
-    pub fn with_init(mut self, init: InitConfig) -> Self {
-        self.init = init;
-        self
-    }
-
     /// Overrides the `R_min` bound instead of deriving it per §V.
     pub fn with_r_min_override(mut self, r_min: Option<i64>) -> Self {
         self.r_min_override = r_min;
@@ -175,17 +155,26 @@ impl RunConfig {
         self
     }
 
-    /// Sets the base solver configuration (both methods start from it;
-    /// MinObs additionally disables P2).
-    pub fn with_solver(mut self, solver: SolverConfig) -> Self {
-        self.solver = solver;
-        self
-    }
-
     /// Streams [`ExperimentEvent`]s through `f` as the pipeline runs.
     pub fn with_progress(mut self, f: Arc<ExperimentProgressFn>) -> Self {
         self.progress = ProgressHook::new(f);
         self
+    }
+
+    /// The SER analysis settings of this run at clock period `phi`: its
+    /// simulation and its delay and rate models, with the latching
+    /// window taken from the §V setup and hold times.
+    pub fn ser_config(&self, phi: i64) -> SerConfig {
+        SerConfig {
+            sim: self.sim,
+            delays: self.delays.clone(),
+            rates: self.rates.clone(),
+            elw: ElwParams {
+                phi,
+                t_setup: self.init.t_setup,
+                t_hold: self.init.t_hold,
+            },
+        }
     }
 }
 
@@ -308,11 +297,8 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
     let graph = RetimeGraph::from_circuit(circuit, &config.delays)?;
     let init = config.init.initialize(&graph)?;
     let r_min = config.r_min_override.unwrap_or(init.r_min);
-    let params = ElwParams {
-        phi: init.phi,
-        t_setup: config.init.t_setup,
-        t_hold: config.init.t_hold,
-    };
+    let ser_config = config.ser_config(init.phi);
+    let params = ser_config.elw;
 
     // The simulation data plane dominates memory at scale (frames ×
     // gates × vectors); check it against the budget's memory cap
@@ -340,12 +326,6 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
     let problem =
         Problem::from_observabilities(&graph, &vertex_obs, config.sim.num_vectors, params, r_min);
 
-    let ser_config = SerConfig {
-        sim: config.sim,
-        delays: config.delays.clone(),
-        rates: config.rates.clone(),
-        elw: params,
-    };
     let original_report = analyze_with_observability(circuit, &ser_config, &observability)?;
     // Second opinion from the propagation-probability engine, reusing
     // the one simulation above for its signal densities.

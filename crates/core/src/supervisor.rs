@@ -619,7 +619,6 @@ pub struct Supervision {
     pub(crate) checkpoint_every: usize,
     pub(crate) resume: Option<Checkpoint>,
     pub(crate) progress: Option<Arc<ProgressFn>>,
-    pub(crate) progress_every: usize,
     pub(crate) memory_probe: Option<Arc<MemoryProbe>>,
 }
 
@@ -631,7 +630,6 @@ impl fmt::Debug for Supervision {
             .field("checkpoint_every", &self.checkpoint_every)
             .field("resume", &self.resume.is_some())
             .field("progress", &self.progress.is_some())
-            .field("progress_every", &self.progress_every)
             .field("memory_probe", &self.memory_probe.is_some())
             .finish()
     }
@@ -645,15 +643,14 @@ impl Default for Supervision {
             checkpoint_every: 16,
             resume: None,
             progress: None,
-            progress_every: DEFAULT_PROGRESS_INTERVAL,
             memory_probe: None,
         }
     }
 }
 
-/// Default progress-stream interval: [`Supervision::on_progress`]
-/// fires every Nth solver iteration.
-pub const DEFAULT_PROGRESS_INTERVAL: usize = 32;
+/// The progress-stream interval: [`Supervision::on_progress`] fires
+/// every Nth solver iteration.
+const PROGRESS_INTERVAL: usize = 32;
 
 impl Supervision {
     /// Default supervision: unlimited budget, no checkpoints, no
@@ -691,19 +688,11 @@ impl Supervision {
         self
     }
 
-    /// Streams [`SolveProgress`] through `f` at iteration boundaries.
+    /// Streams [`SolveProgress`] through `f` at every 32nd iteration
+    /// boundary.
     #[must_use]
     pub fn on_progress(mut self, f: Arc<ProgressFn>) -> Self {
         self.progress = Some(f);
-        self
-    }
-
-    /// Fires the progress stream every `every` iterations (default
-    /// [`DEFAULT_PROGRESS_INTERVAL`]; clamped to at least 1 — 1
-    /// reports every iteration).
-    #[must_use]
-    pub fn progress_every(mut self, every: usize) -> Self {
-        self.progress_every = every.max(1);
         self
     }
 
@@ -735,7 +724,6 @@ pub(crate) struct SupervisorRt {
     checkpoint_every: usize,
     resume: Option<Checkpoint>,
     progress: Option<Arc<ProgressFn>>,
-    progress_every: usize,
     memory_probe: Option<Arc<MemoryProbe>>,
     /// The instance fingerprint stamped into every checkpoint.
     pub(crate) digest: u64,
@@ -762,7 +750,6 @@ impl SupervisorRt {
             checkpoint_every: supervision.checkpoint_every,
             resume: supervision.resume,
             progress: supervision.progress,
-            progress_every: supervision.progress_every,
             memory_probe: supervision.memory_probe,
             budget: supervision.budget,
             digest,
@@ -817,11 +804,11 @@ impl SupervisorRt {
         self.stop.is_some()
     }
 
-    /// Streams progress to the registered callback at the configured
-    /// cadence (a no-op without one).
+    /// Streams progress to the registered callback every
+    /// `PROGRESS_INTERVAL` iterations (a no-op without one).
     pub(crate) fn tick_progress(&self, iterations: usize, commits: usize) {
         if let Some(f) = &self.progress {
-            if iterations.is_multiple_of(self.progress_every) {
+            if iterations.is_multiple_of(PROGRESS_INTERVAL) {
                 f(SolveProgress {
                     iterations,
                     commits,

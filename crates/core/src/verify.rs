@@ -2,7 +2,6 @@
 //! retiming, and the prioritized violation finder driving Algorithm 1.
 
 use retime::labels::{P1Violation, P2Violation};
-use retime::timing::zero_weight_topo;
 use retime::{EdgeId, LrLabels, RetimeGraph, Retiming};
 
 use crate::problem::Problem;
@@ -23,41 +22,17 @@ pub enum Violation {
     P2(P2Violation),
 }
 
-/// Finds the highest-priority violation of `r` against the instance.
+/// Enumerates **every** violation of `r` in canonical order: all P0
+/// violations by ascending edge id, or — when the retiming is
+/// P0-clean, so the timing labels are well defined — all P2 violations
+/// by ascending edge id followed by all P1 violations by ascending
+/// vertex id. An empty vector means `r` is feasible.
 ///
 /// Priority: **P0 first** (a structurally invalid retiming makes the
 /// timing labels meaningless), then P2, then P1 — the paper's
 /// Algorithm 1 lists P2 before P0, but its checks are incremental and
 /// always see structurally valid states; checking P0 first is the
 /// equivalent formulation for a from-scratch checker (see DESIGN.md).
-pub fn find_violation(graph: &RetimeGraph, problem: &Problem, r: &Retiming) -> Option<Violation> {
-    for (i, _) in graph.edges().iter().enumerate() {
-        let e = EdgeId::new(i);
-        let w = graph.retimed_weight(e, r);
-        if w < 0 {
-            return Some(Violation::P0 { edge: e, weight: w });
-        }
-    }
-    let order = zero_weight_topo(graph, r).expect(
-        "P0-clean retimings of circuit graphs cannot create zero-weight cycles \
-         (cycle weight is retiming-invariant)",
-    );
-    let labels = LrLabels::compute_with_order(graph, r, problem.params, &order);
-    if let Some(v) = labels.find_p2_violation(graph, r, problem.r_min) {
-        return Some(Violation::P2(v));
-    }
-    if let Some(v) = labels.find_p1_violation(graph, r) {
-        return Some(Violation::P1(v));
-    }
-    None
-}
-
-/// Enumerates **every** violation of `r` in canonical order: all P0
-/// violations by ascending edge id, or — when the retiming is
-/// P0-clean, so the timing labels are well defined — all P2 violations
-/// by ascending edge id followed by all P1 violations by ascending
-/// vertex id. The first element is exactly [`find_violation`]'s
-/// answer; an empty vector means `r` is feasible.
 ///
 /// This is the solver's per-move constraint check: its batched
 /// learning step attributes every violation in this order.
@@ -73,11 +48,10 @@ pub fn find_violations(graph: &RetimeGraph, problem: &Problem, r: &Retiming) -> 
     if !out.is_empty() {
         return out;
     }
-    let order = zero_weight_topo(graph, r).expect(
+    let labels = LrLabels::compute(graph, r, problem.params).expect(
         "P0-clean retimings of circuit graphs cannot create zero-weight cycles \
          (cycle weight is retiming-invariant)",
     );
-    let labels = LrLabels::compute_with_order(graph, r, problem.params, &order);
     for i in 0..graph.num_edges() {
         let e = EdgeId::new(i);
         if let Some(v) = labels.p2_violation_at(graph, r, problem.r_min, e) {
@@ -97,16 +71,17 @@ pub fn find_violations(graph: &RetimeGraph, problem: &Problem, r: &Retiming) -> 
 ///
 /// # Errors
 ///
-/// Returns the first [`Violation`] found.
+/// Returns the highest-priority [`Violation`]: the first of
+/// [`find_violations`]' canonical list.
 pub fn check_feasible(
     graph: &RetimeGraph,
     problem: &Problem,
     r: &Retiming,
 ) -> Result<(), Violation> {
-    match find_violation(graph, problem, r) {
-        None => Ok(()),
-        Some(v) => Err(v),
-    }
+    find_violations(graph, problem, r)
+        .into_iter()
+        .next()
+        .map_or(Ok(()), Err)
 }
 
 #[cfg(test)]
@@ -135,7 +110,7 @@ mod tests {
         let mut r = Retiming::zero(&g);
         let s1 = g.vertex_of(c.find("s1").unwrap()).unwrap();
         r.set(s1, -1); // edge (s0,s1) goes negative
-        match find_violation(&g, &p, &r) {
+        match check_feasible(&g, &p, &r).err() {
             Some(Violation::P0 { weight, .. }) => assert_eq!(weight, -1),
             other => panic!("expected P0, got {other:?}"),
         }
@@ -144,7 +119,7 @@ mod tests {
     #[test]
     fn p1_detected_under_tight_phi() {
         let (_, g, p) = instance(2, 1);
-        match find_violation(&g, &p, &Retiming::zero(&g)) {
+        match check_feasible(&g, &p, &Retiming::zero(&g)).err() {
             Some(Violation::P1(v)) => assert!(v.slack < 0),
             other => panic!("expected P1, got {other:?}"),
         }
@@ -153,7 +128,7 @@ mod tests {
     #[test]
     fn p2_detected_under_tight_rmin() {
         let (_, g, p) = instance(10, 4);
-        match find_violation(&g, &p, &Retiming::zero(&g)) {
+        match check_feasible(&g, &p, &Retiming::zero(&g)).err() {
             Some(Violation::P2(v)) => assert!(v.short_path < 4),
             other => panic!("expected P2, got {other:?}"),
         }
@@ -164,7 +139,7 @@ mod tests {
         // Both violated: tight phi AND tight r_min (possible because
         // different paths bind). P2 must be reported first.
         let (_, g, p) = instance(2, 4);
-        match find_violation(&g, &p, &Retiming::zero(&g)) {
+        match check_feasible(&g, &p, &Retiming::zero(&g)).err() {
             Some(Violation::P2(_)) => {}
             other => panic!("expected P2 first, got {other:?}"),
         }

@@ -28,7 +28,7 @@
 //!   see DESIGN.md.)
 
 use crate::graph::{EdgeId, RetimeGraph, Retiming, VertexId};
-use crate::timing::{is_combinational_edge, zero_weight_topo};
+use crate::timing::{is_combinational_edge, ArrivalScratch};
 use crate::RetimeError;
 
 /// Sentinel for "no latching window reachable" (dead logic).
@@ -122,12 +122,15 @@ impl LrLabels {
         r: &Retiming,
         params: ElwParams,
     ) -> Result<Self, RetimeError> {
-        let order = zero_weight_topo(graph, r)?;
-        Ok(Self::compute_with_order(graph, r, params, &order))
+        let mut scratch = ArrivalScratch::new();
+        scratch
+            .compute(graph, r)
+            .ok_or(RetimeError::ZeroWeightCycle)?;
+        Ok(Self::compute_with_order(graph, r, params, scratch.order()))
     }
 
     /// Computes the labels reusing a topological order from
-    /// [`zero_weight_topo`] for the same graph and retiming.
+    /// [`ArrivalScratch::order`] for the same graph and retiming.
     pub fn compute_with_order(
         graph: &RetimeGraph,
         r: &Retiming,
@@ -243,25 +246,14 @@ impl LrLabels {
             .map(|r| graph.delay(v) + self.params.window_right() - r)
     }
 
-    /// Finds the canonical **P1** violation: the minimum-index vertex
-    /// with negative slack and no combinational in-edge (a "path
-    /// head" — the vertex the paper's Algorithm 1 retimes to cut the
-    /// path).
+    /// The canonical **P1** check for a single vertex: `Some` iff `v`
+    /// has negative slack **and** is a path head under `r` (no
+    /// combinational in-edge — the vertex the paper's Algorithm 1
+    /// retimes to cut the path).
     ///
     /// Every combinational predecessor `u` of a violating vertex `v`
     /// also violates (`slack(u) ≤ slack(v) − d(u) < 0`), so restricting
-    /// to heads loses no violations; selecting the minimum index makes
-    /// the answer independent of traversal order.
-    pub fn find_p1_violation(&self, graph: &RetimeGraph, r: &Retiming) -> Option<P1Violation> {
-        graph
-            .vertices()
-            .find_map(|v| self.p1_violation_at(graph, r, v))
-    }
-
-    /// The canonical P1 check for a single vertex: `Some` iff `v` has
-    /// negative slack **and** is a path head under `r`. Shared by
-    /// [`LrLabels::find_p1_violation`] and the solver's full violation
-    /// enumeration so both apply the exact same rule.
+    /// to heads loses no violations.
     pub fn p1_violation_at(
         &self,
         graph: &RetimeGraph,
@@ -304,9 +296,10 @@ impl LrLabels {
 
     /// The canonical P2 check for a single edge: `Some` iff `e` is a
     /// registered non-host edge under `r` whose head's short path is
-    /// below `r_min`. Shared by [`LrLabels::find_p2_violation`] and the
-    /// solver's full violation enumeration so both apply the exact same
-    /// rule.
+    /// below `r_min`. Shared by [`LrLabels::find_p2_violation`] (and so
+    /// by the hold repairs of [`crate::setup_hold`], where
+    /// `r_min = T_h`) and the solver's full violation enumeration, so
+    /// all of them apply the exact same rule.
     pub fn p2_violation_at(
         &self,
         graph: &RetimeGraph,
@@ -398,25 +391,23 @@ mod tests {
     fn p1_violation_when_phi_too_small() {
         // Segments have 3 unit-delay gates; phi = 2 breaks setup.
         let (_, g, r, labels) = setup(2);
-        let viol = labels.find_p1_violation(&g, &r).expect("violation");
+        let viol = g
+            .vertices()
+            .find_map(|v| labels.p1_violation_at(&g, &r, v))
+            .expect("violation");
         assert!(viol.slack < 0);
         // The head has no zero-weight combinational in-edge.
         for &e in g.in_edges(viol.vertex) {
             assert!(!is_combinational_edge(&g, e, &r));
-        }
-        // Canonical rule: no lower-index head also violates.
-        for v in g.vertices() {
-            if v >= viol.vertex {
-                break;
-            }
-            assert!(labels.p1_violation_at(&g, &r, v).is_none());
         }
     }
 
     #[test]
     fn no_p1_violation_when_phi_ample() {
         let (_, g, r, labels) = setup(10);
-        assert!(labels.find_p1_violation(&g, &r).is_none());
+        assert!(g
+            .vertices()
+            .all(|v| labels.p1_violation_at(&g, &r, v).is_none()));
     }
 
     #[test]

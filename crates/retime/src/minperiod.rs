@@ -5,11 +5,8 @@
 //! paper's largest (b19-sized) circuits.
 
 use crate::error::RetimeError;
-use crate::graph::{RetimeGraph, Retiming, VertexId};
-use crate::timing::{
-    clock_period, is_combinational_edge, zero_weight_topo, ArrivalScratch, ArrivalTimes,
-    FeasWitness,
-};
+use crate::graph::{RetimeGraph, Retiming};
+use crate::timing::{clock_period, ArrivalScratch, FeasWitness};
 
 /// Runs the FEAS relaxation: starting from `r = 0`, repeatedly
 /// increments `r(v)` for every vertex whose arrival time exceeds `phi`.
@@ -125,40 +122,9 @@ pub fn period_lower_bound(graph: &RetimeGraph) -> i64 {
     graph.vertices().map(|v| graph.delay(v)).max().unwrap_or(0)
 }
 
-/// Computes, for every vertex, how far `r(v)` may usefully range:
-/// `|V| · max_edge_weight` is a safe bound used by the exhaustive test
-/// solvers.
-pub fn retiming_radius(graph: &RetimeGraph) -> i64 {
-    let max_w = graph
-        .edges()
-        .iter()
-        .map(|e| e.weight as i64)
-        .max()
-        .unwrap_or(0);
-    (graph.num_vertices() as i64) * max_w.max(1)
-}
-
 /// Returns whether `r` is feasible for period `phi` (P0 + setup).
 pub fn is_feasible(graph: &RetimeGraph, r: &Retiming, phi: i64) -> bool {
     graph.check_nonnegative(r).is_ok() && matches!(clock_period(graph, r), Ok(cp) if cp <= phi)
-}
-
-/// Diagnostic: the set of critical vertices (arrival = clock period).
-pub fn critical_vertices(graph: &RetimeGraph, r: &Retiming) -> Result<Vec<VertexId>, RetimeError> {
-    let order = zero_weight_topo(graph, r)?;
-    let arr = ArrivalTimes::compute_with_order(graph, r, &order);
-    let cp = arr.clock_period();
-    Ok(graph
-        .vertices()
-        .filter(|&v| arr.get(v) == cp && graph.delay(v) > 0)
-        .collect())
-}
-
-/// Diagnostic: number of combinational (zero-weight) edges under `r`.
-pub fn combinational_edge_count(graph: &RetimeGraph, r: &Retiming) -> usize {
-    (0..graph.num_edges())
-        .filter(|&i| is_combinational_edge(graph, crate::graph::EdgeId::new(i), r))
-        .count()
 }
 
 #[cfg(test)]
@@ -234,14 +200,5 @@ mod tests {
             let initial = clock_period(&g, &Retiming::zero(&g)).unwrap();
             assert!(res.phi <= initial, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn critical_vertices_nonempty() {
-        let c = samples::pipeline(9, 3);
-        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let r = Retiming::zero(&g);
-        let crit = critical_vertices(&g, &r).unwrap();
-        assert!(!crit.is_empty());
     }
 }

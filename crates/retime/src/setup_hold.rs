@@ -20,7 +20,7 @@
 
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::labels::{ElwParams, LrLabels};
-use crate::timing::{zero_weight_topo, ArrivalScratch, ArrivalTimes, FeasWitness};
+use crate::timing::{ArrivalScratch, FeasWitness};
 
 /// Result of [`min_period_setup_hold`].
 #[derive(Debug, Clone, PartialEq)]
@@ -124,23 +124,21 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
         }
         consecutive_feas = 0;
         let labels = LrLabels::compute_with_order(graph, &r, params, scratch.order());
-        match find_hold_violation(graph, &r, &labels, t_hold) {
-            Some((tail, head)) => {
+        // Hold is P2 at `R_min = T_h`.
+        match labels.find_p2_violation(graph, &r, t_hold) {
+            Some(violation) => {
                 hold_repairs += 1;
                 witness.reset(graph);
                 // Two symmetric repairs: push the launching register
-                // backward over the tail (lengthens the path at its
-                // start), or push the terminating register forward
+                // backward over the edge's tail (lengthens the path at
+                // its start), or push the terminating register forward
                 // (lengthens it at its end).
                 let mut attempt = r.clone();
-                if push_register_backward(graph, &mut attempt, tail) {
+                if push_register_backward(graph, &mut attempt, graph.edge(violation.edge).from) {
                     r = attempt;
-                } else {
-                    let z = labels.rt(head);
-                    if !push_terminating_register_forward(graph, &mut r, z) {
-                        report("unrepairable", feas_steps, hold_repairs);
-                        return None;
-                    }
+                } else if !push_terminating_register_forward(graph, &mut r, violation.rt) {
+                    report("unrepairable", feas_steps, hold_repairs);
+                    return None;
                 }
             }
             None => {
@@ -155,28 +153,6 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
         }
     }
     report("budget", feas_steps, hold_repairs);
-    None
-}
-
-/// Finds a hold violation and returns `(tail, head)` of the offending
-/// registered edge `(t, u)`.
-fn find_hold_violation(
-    graph: &RetimeGraph,
-    r: &Retiming,
-    labels: &LrLabels,
-    t_hold: i64,
-) -> Option<(VertexId, VertexId)> {
-    for (i, edge) in graph.edges().iter().enumerate() {
-        let e = crate::graph::EdgeId::new(i);
-        if edge.to.is_host() || graph.retimed_weight(e, r) <= 0 {
-            continue;
-        }
-        if let Some(sp) = labels.short_path(graph, edge.to) {
-            if sp < t_hold {
-                return Some((edge.from, edge.to));
-            }
-        }
-    }
     None
 }
 
@@ -257,7 +233,8 @@ fn push_register_backward(graph: &RetimeGraph, r: &mut Retiming, tail: VertexId)
     true
 }
 
-/// Verifies setup and hold of a retiming.
+/// Verifies setup and hold of a retiming: P0, a clock period within
+/// `Φ − T_s`, and no P2 violation at `R_min = T_h`.
 pub fn meets_setup_hold(
     graph: &RetimeGraph,
     r: &Retiming,
@@ -268,11 +245,11 @@ pub fn meets_setup_hold(
     if graph.check_nonnegative(r).is_err() {
         return false;
     }
-    let Ok(order) = zero_weight_topo(graph, r) else {
-        return false;
-    };
-    let arrivals = ArrivalTimes::compute_with_order(graph, r, &order);
-    if arrivals.clock_period() > phi - t_setup {
+    let mut scratch = ArrivalScratch::new();
+    if scratch
+        .compute(graph, r)
+        .is_none_or(|period| period > phi - t_setup)
+    {
         return false;
     }
     let params = ElwParams {
@@ -280,8 +257,9 @@ pub fn meets_setup_hold(
         t_setup,
         t_hold,
     };
-    let labels = LrLabels::compute_with_order(graph, r, params, &order);
-    find_hold_violation(graph, r, &labels, t_hold).is_none()
+    LrLabels::compute_with_order(graph, r, params, scratch.order())
+        .find_p2_violation(graph, r, t_hold)
+        .is_none()
 }
 
 /// Minimizes the clock period under setup and hold constraints

@@ -1,49 +1,9 @@
-//! Timing analysis of a retimed graph: the zero-weight (purely
-//! combinational) subgraph, arrival times and the clock period.
+//! Timing analysis of a retimed graph: one pass over the zero-weight
+//! (purely combinational) subgraph gives its topological order, the
+//! arrival times and the clock period.
 
 use crate::error::RetimeError;
 use crate::graph::{EdgeId, RetimeGraph, Retiming, VertexId};
-
-/// Topological order of the *zero-weight subgraph* of the retimed
-/// graph: only edges with `w_r(e) = 0` (and neither endpoint the host)
-/// constrain the order. Host and registered edges break combinational
-/// paths.
-///
-/// # Errors
-///
-/// Returns [`RetimeError::ZeroWeightCycle`] if the retiming leaves a
-/// cycle with no registers on it (an invalid retiming).
-pub fn zero_weight_topo(graph: &RetimeGraph, r: &Retiming) -> Result<Vec<VertexId>, RetimeError> {
-    let n = graph.num_vertices();
-    let mut indeg = vec![0usize; n];
-    for (i, edge) in graph.edges().iter().enumerate() {
-        if is_combinational_edge(graph, EdgeId::new(i), r) {
-            indeg[edge.to.index()] += 1;
-        }
-    }
-    let mut queue: Vec<VertexId> = graph.vertices().filter(|v| indeg[v.index()] == 0).collect();
-    let mut order = Vec::with_capacity(n - 1);
-    let mut head = 0;
-    while head < queue.len() {
-        let v = queue[head];
-        head += 1;
-        order.push(v);
-        for &e in graph.out_edges(v) {
-            if !is_combinational_edge(graph, e, r) {
-                continue;
-            }
-            let to = graph.edge(e).to;
-            indeg[to.index()] -= 1;
-            if indeg[to.index()] == 0 {
-                queue.push(to);
-            }
-        }
-    }
-    if order.len() != n - 1 {
-        return Err(RetimeError::ZeroWeightCycle);
-    }
-    Ok(order)
-}
 
 /// Whether an edge carries a combinational dependency under `r`:
 /// neither endpoint is the host and the retimed weight is zero.
@@ -52,19 +12,13 @@ pub fn is_combinational_edge(graph: &RetimeGraph, e: EdgeId, r: &Retiming) -> bo
     !edge.from.is_host() && !edge.to.is_host() && graph.retimed_weight(e, r) == 0
 }
 
-/// Reusable scratch for the fused topological-sort + arrival-time pass
-/// that the FEAS feasibility probes run thousands of times per
-/// binary-search probe. One [`ArrivalScratch::compute`] call does the
-/// work of [`zero_weight_topo`] followed by
-/// [`ArrivalTimes::compute_with_order`] in a single traversal with no
-/// allocations after the first call — at 10k gates this halves the cost
-/// of every FEAS iteration.
+/// The timing pass over a retimed graph's zero-weight subgraph, with
+/// buffers that are reused from call to call. It is the only traversal
+/// of that subgraph: the clock period, the FEAS rounds, the `L`/`R`
+/// labels, the exact ELWs and the constraint checker all read one.
 ///
-/// The traversal visits vertices in the exact order [`zero_weight_topo`]
-/// produces and evaluates the same max-over-in-edges recurrence, so the
-/// arrivals, the period and the recorded order are bit-identical to the
-/// two-pass path.
-///
+/// One [`ArrivalScratch::compute`] call orders the subgraph
+/// topologically and computes every vertex's arrival time on the way.
 /// Each pass also keeps, per vertex, the critical in-edge that the max
 /// picked and the *launch* vertex its critical path starts from — the
 /// data the FEAS negative-cycle witness turns into Bellman–Ford parent
@@ -93,10 +47,15 @@ impl ArrivalScratch {
         Self::default()
     }
 
-    /// Runs the fused pass under retiming `r`. Returns the clock period
-    /// (maximum arrival time), or `None` when the zero-weight subgraph
-    /// has a cycle (an invalid retiming). The per-vertex arrivals and
-    /// the topological order stay readable until the next call.
+    /// Runs the pass under retiming `r`. Kahn's algorithm orders the
+    /// non-host vertices over the combinational edges (seeded in vertex
+    /// order, out-edges taken in adjacency order), and each vertex's
+    /// arrival is `d(v)` plus the largest arrival over its combinational
+    /// in-edges, 0 without one: the delay of the longest combinational
+    /// path ending at `v`, `v` included. Returns the clock period (the
+    /// largest arrival), or `None` when the zero-weight subgraph has a
+    /// cycle (an invalid retiming). The order and the arrivals stay
+    /// readable until the next call.
     pub fn compute(&mut self, graph: &RetimeGraph, r: &Retiming) -> Option<i64> {
         let n = graph.num_vertices();
         self.comb.clear();
@@ -155,8 +114,8 @@ impl ArrivalScratch {
         (self.order.len() == n - 1).then_some(period)
     }
 
-    /// The topological order of the last successful pass (the same
-    /// order [`zero_weight_topo`] returns).
+    /// The topological order of the zero-weight subgraph from the last
+    /// successful pass (every non-host vertex once).
     pub fn order(&self) -> &[VertexId] {
         &self.order
     }
@@ -381,60 +340,17 @@ impl FeasWitness {
     }
 }
 
-/// Arrival times of the retimed graph: `a(v)` is the maximum delay of
-/// any combinational path ending at (and including) `v`, measured from
-/// the registers/PIs that source the paths.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ArrivalTimes {
-    arrivals: Vec<i64>,
-}
-
-impl ArrivalTimes {
-    /// Computes arrival times under retiming `r`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`RetimeError::ZeroWeightCycle`] for invalid retimings.
-    pub fn compute(graph: &RetimeGraph, r: &Retiming) -> Result<Self, RetimeError> {
-        let order = zero_weight_topo(graph, r)?;
-        Ok(Self::compute_with_order(graph, r, &order))
-    }
-
-    /// Computes arrival times reusing a precomputed topological order
-    /// (must come from [`zero_weight_topo`] for the same `graph`/`r`).
-    pub fn compute_with_order(graph: &RetimeGraph, r: &Retiming, order: &[VertexId]) -> Self {
-        let mut arrivals = vec![0i64; graph.num_vertices()];
-        for &v in order {
-            let mut best = 0i64;
-            for &e in graph.in_edges(v) {
-                if is_combinational_edge(graph, e, r) {
-                    best = best.max(arrivals[graph.edge(e).from.index()]);
-                }
-            }
-            arrivals[v.index()] = best + graph.delay(v);
-        }
-        Self { arrivals }
-    }
-
-    /// Arrival time of one vertex.
-    pub fn get(&self, v: VertexId) -> i64 {
-        self.arrivals[v.index()]
-    }
-
-    /// The clock period of the retimed circuit: the largest arrival
-    /// time (longest register-to-register combinational path).
-    pub fn clock_period(&self) -> i64 {
-        self.arrivals.iter().copied().max().unwrap_or(0)
-    }
-}
-
-/// Convenience: the clock period of the retimed circuit.
+/// The clock period of the retimed circuit: the largest arrival time
+/// (longest register-to-register combinational path), from one pass of
+/// a fresh [`ArrivalScratch`].
 ///
 /// # Errors
 ///
 /// Returns [`RetimeError::ZeroWeightCycle`] for invalid retimings.
 pub fn clock_period(graph: &RetimeGraph, r: &Retiming) -> Result<i64, RetimeError> {
-    Ok(ArrivalTimes::compute(graph, r)?.clock_period())
+    ArrivalScratch::new()
+        .compute(graph, r)
+        .ok_or(RetimeError::ZeroWeightCycle)
 }
 
 #[cfg(test)]
@@ -464,8 +380,9 @@ mod tests {
     fn topo_covers_all_vertices() {
         let g = pipeline_graph();
         let r = Retiming::zero(&g);
-        let order = zero_weight_topo(&g, &r).unwrap();
-        assert_eq!(order.len(), g.num_vertices() - 1);
+        let mut scratch = ArrivalScratch::new();
+        scratch.compute(&g, &r).unwrap();
+        assert_eq!(scratch.order().len(), g.num_vertices() - 1);
     }
 
     #[test]
@@ -491,7 +408,7 @@ mod tests {
         // edges as "registered", so topo still succeeds. The dedicated
         // cycle error fires when a cycle's edges are all zero:
         // r cannot produce that here, confirming the invariant.
-        assert!(zero_weight_topo(&g, &r).is_ok());
+        assert!(ArrivalScratch::new().compute(&g, &r).is_some());
     }
 
     #[test]
@@ -499,10 +416,10 @@ mod tests {
         let c = samples::pipeline(6, 6); // one segment of 6 gates + feedback reg
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
         let r = Retiming::zero(&g);
-        let arr = ArrivalTimes::compute(&g, &r).unwrap();
+        let mut scratch = ArrivalScratch::new();
+        assert_eq!(scratch.compute(&g, &r), Some(6));
         let s5 = g.vertex_of(c.find("s5").unwrap()).unwrap();
-        assert_eq!(arr.get(s5), 6);
-        assert_eq!(arr.clock_period(), 6);
+        assert_eq!(scratch.arrival(s5), 6);
     }
 
     #[test]
@@ -555,23 +472,52 @@ mod tests {
         b.build().unwrap()
     }
 
+    /// Checks one pass against its definition: the order lists every
+    /// non-host vertex once, every combinational edge points forward in
+    /// it, each arrival is `d(v)` plus the largest arrival over the
+    /// vertex's combinational in-edges, and the period is the largest
+    /// arrival.
+    fn assert_pass_matches_definition(
+        graph: &RetimeGraph,
+        r: &Retiming,
+        scratch: &ArrivalScratch,
+        period: i64,
+    ) {
+        let mut position = vec![None; graph.num_vertices()];
+        for (i, &v) in scratch.order().iter().enumerate() {
+            assert!(!v.is_host(), "the host is not ordered");
+            assert!(position[v.index()].replace(i).is_none(), "{v} listed twice");
+        }
+        assert_eq!(scratch.order().len(), graph.num_vertices() - 1);
+        for (i, edge) in graph.edges().iter().enumerate() {
+            if is_combinational_edge(graph, EdgeId::new(i), r) {
+                assert!(position[edge.from.index()] < position[edge.to.index()]);
+            }
+        }
+        for v in graph.vertices() {
+            let fanin = graph
+                .in_edges(v)
+                .iter()
+                .filter(|&&e| is_combinational_edge(graph, e, r))
+                .map(|&e| scratch.arrival(graph.edge(e).from))
+                .max()
+                .unwrap_or(0);
+            assert_eq!(scratch.arrival(v), graph.delay(v) + fanin, "arrival of {v}");
+        }
+        let latest = graph.vertices().map(|v| scratch.arrival(v)).max();
+        assert_eq!(period, latest.unwrap_or(0));
+    }
+
     /// FEAS from `r = 0` with a witness: the round in which it fired and
     /// the segments it proved with, or `None` when `|V|` rounds passed.
-    /// Every round also checks the fused arrival pass against the
-    /// two-pass one.
+    /// Every round also checks the pass against its definition.
     fn feas_witness(graph: &RetimeGraph, bound: i64) -> Option<(usize, Vec<Vec<EdgeId>>)> {
         let mut r = Retiming::zero(graph);
         let mut scratch = ArrivalScratch::new();
         let mut witness = FeasWitness::new();
         for round in 0..graph.num_vertices() {
             let period = scratch.compute(graph, &r)?;
-            let order = zero_weight_topo(graph, &r).unwrap();
-            let arrivals = ArrivalTimes::compute_with_order(graph, &r, &order);
-            assert_eq!(scratch.order(), &order[..]);
-            assert!(graph
-                .vertices()
-                .all(|v| scratch.arrival(v) == arrivals.get(v)));
-            assert_eq!(period, arrivals.clock_period());
+            assert_pass_matches_definition(graph, &r, &scratch, period);
             if period <= bound {
                 return None;
             }

@@ -14,7 +14,7 @@
 //!
 //! and may consist of multiple disjoint intervals.
 
-use retime::timing::{is_combinational_edge, zero_weight_topo};
+use retime::timing::{is_combinational_edge, ArrivalScratch};
 use retime::{EdgeId, ElwParams, RetimeGraph, Retiming, VertexId};
 use std::fmt;
 
@@ -168,9 +168,12 @@ pub fn compute_elws(
     r: &Retiming,
     params: ElwParams,
 ) -> Result<Vec<IntervalSet>, retime::RetimeError> {
-    let order = zero_weight_topo(graph, r)?;
+    let mut scratch = ArrivalScratch::new();
+    scratch
+        .compute(graph, r)
+        .ok_or(retime::RetimeError::ZeroWeightCycle)?;
     let mut elw: Vec<IntervalSet> = vec![IntervalSet::new(); graph.num_vertices()];
-    for &u in order.iter().rev() {
+    for &u in scratch.order().iter().rev() {
         let mut acc = IntervalSet::new();
         let mut is_ro = false;
         for &e in graph.out_edges(u) {

@@ -8,7 +8,7 @@
 //! cargo run -p minobswin-bench --example constraint_types
 //! ```
 
-use minobswin::verify::{find_violation, Violation};
+use minobswin::verify::{check_feasible, Violation};
 use minobswin::Problem;
 use netlist::{samples, CircuitBuilder, DelayModel, GateKind};
 use retime::{ElwParams, LrLabels, RetimeGraph, Retiming};
@@ -33,7 +33,7 @@ fn fig2a_p0() -> Result<(), Box<dyn std::error::Error>> {
     let s1 = graph.vertex_of(circuit.find("s1").unwrap()).unwrap();
     let mut r = Retiming::zero(&graph);
     r.add(s1, -1);
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P0 { edge, weight }) => {
             let e = graph.edge(edge);
             println!(
@@ -70,7 +70,7 @@ fn fig2b_p1() -> Result<(), Box<dyn std::error::Error>> {
     let s3 = graph.vertex_of(circuit.find("s3").unwrap()).unwrap();
     let mut r = Retiming::zero(&graph);
     r.add(s3, -1);
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P1(v)) => {
             println!(
                 "Fig 2(b) P1: after moving the register past {}, the path headed by {} \
@@ -126,7 +126,7 @@ fn fig2c_p2() -> Result<(), Box<dyn std::error::Error>> {
     // violating P2.
     let mut r = r0.clone();
     r.add(vc, -1);
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P2(v)) => {
             let z = v.rt;
             println!(

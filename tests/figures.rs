@@ -8,7 +8,7 @@
 
 use minobswin::algorithm::SolverConfig;
 use minobswin::forest::WeightedRegularForest;
-use minobswin::verify::{find_violation, Violation};
+use minobswin::verify::{check_feasible, Violation};
 use minobswin::{Problem, SolverSession};
 use netlist::{samples, CircuitBuilder, DelayModel, GateKind};
 use retime::apply::apply_retiming;
@@ -130,7 +130,7 @@ fn fig2a_p0_constraint() {
     let s1 = graph.vertex_of(circuit.find("s1").unwrap()).unwrap();
     let mut r = Retiming::zero(&graph);
     r.add(s1, -1);
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P0 { edge, weight }) => {
             assert_eq!(weight, -1);
             assert_eq!(graph.edge(edge).to, s1);
@@ -150,7 +150,7 @@ fn fig2b_p1_constraint() {
     let s3 = graph.vertex_of(circuit.find("s3").unwrap()).unwrap();
     let mut r = Retiming::zero(&graph);
     r.add(s3, -1); // merge two 3-gate segments into 6 > phi
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P1(v)) => {
             assert!(v.slack < 0);
             assert_ne!(v.vertex, v.lt);
@@ -180,11 +180,11 @@ fn fig2c_p2_constraint() {
     let graph = RetimeGraph::from_circuit(&circuit, &DelayModel::unit()).unwrap();
     let counts = vec![1i64; graph.num_vertices()];
     let problem = Problem::from_observability_counts(&graph, &counts, ElwParams::with_phi(10), 2);
-    assert!(find_violation(&graph, &problem, &Retiming::zero(&graph)).is_none());
+    assert!(check_feasible(&graph, &problem, &Retiming::zero(&graph)).is_ok());
     let vc = graph.vertex_of(circuit.find("c1").unwrap()).unwrap();
     let mut r = Retiming::zero(&graph);
     r.add(vc, -1);
-    match find_violation(&graph, &problem, &r) {
+    match check_feasible(&graph, &problem, &r).err() {
         Some(Violation::P2(v)) => {
             assert!(v.short_path < 2);
             // rt's registered out-edge is the one to clear.

@@ -6,9 +6,10 @@
 //!     [--giant-extra N] [--filter SUBSTR] [--vectors K] [--frames N] [--full]
 //! ```
 //!
-//! `--full` runs unscaled twins (hours of runtime on the b18/b19
-//! twins); the default `--scale 16` reproduces the qualitative shape in
-//! minutes. Values follow `retimer`'s rules (`bench_harness::args`):
+//! `--full` runs unscaled twins. On a 2-vCPU VM (release build) the
+//! 22k–70k-vertex rows took 4.3–50.5 s each, and b19_1, the largest
+//! (213k vertices), took 575 s with a peak RSS of 1.5 GiB. The default
+//! `--scale 16` reproduces the qualitative shape in minutes. Values follow `retimer`'s rules (`bench_harness::args`):
 //! the scales are positive, the simulation size passes
 //! `SimConfig::validate`, and a bad value exits 2.
 

@@ -239,7 +239,18 @@ pub struct CircuitRun {
 impl CircuitRun {
     /// The paper's `SER_ref / SER_new` comparison column.
     pub fn ser_ratio(&self) -> f64 {
-        self.minobs.ser / self.minobswin.ser
+        ratio(self.minobs.ser, self.minobswin.ser)
+    }
+}
+
+/// `new / old`, reading a change from 0 to 0 as no change (1) instead
+/// of the NaN of `0 / 0`: the Δ#FF, ΔSER and SER-ratio columns of a
+/// register-free or zero-SER circuit.
+fn ratio(new: f64, old: f64) -> f64 {
+    if new == 0.0 && old == 0.0 {
+        1.0
+    } else {
+        new / old
     }
 }
 
@@ -351,9 +362,9 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         Ok(MethodResult {
             retiming: retiming.clone(),
             registers: rebuilt.num_registers(),
-            delta_ff: rebuilt.num_registers() as f64 / ff.max(1) as f64 - 1.0,
+            delta_ff: ratio(rebuilt.num_registers() as f64, ff as f64) - 1.0,
             ser: report.ser,
-            delta_ser: report.ser / original_report.ser - 1.0,
+            delta_ser: ratio(report.ser, original_report.ser) - 1.0,
             solve_seconds: seconds,
             stats,
             netlist: rebuilt,

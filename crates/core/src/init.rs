@@ -6,13 +6,13 @@
 //! 1. Retime for minimum period under **setup and hold** constraints
 //!    (`\[23\]`), giving `Φ_sh`. If no such retiming exists (reconvergent
 //!    paths), fall back to plain min-period retiming (`\[24\]`) for
-//!    `Φ_min`.
+//!    `Φ_min`: the same search with no hold constraint (`T_h = 0`).
 //! 2. Relax the (very tight) period by a small factor `ε` (10%).
 //! 3. Choose `R_min` as the minimum register-launched short path in the
 //!    retimed circuit; in the fallback case, the minimum gate delay.
 
 use retime::labels::ElwParams;
-use retime::{minperiod, setup_hold, LrLabels, RetimeGraph, Retiming};
+use retime::{setup_hold, LrLabels, RetimeGraph, Retiming};
 
 use crate::SolveError;
 
@@ -104,71 +104,42 @@ impl InitConfig {
 
 fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, SolveError> {
     let relax = |phi: i64| phi + (phi * config.epsilon_percent as i64 + 99) / 100;
-    let trace = std::env::var_os("MINOBSWIN_TRACE").is_some();
-    let t0 = std::time::Instant::now();
-
-    let sh = setup_hold::min_period_setup_hold(graph, config.t_setup, config.t_hold);
-    if trace {
-        eprintln!(
-            "init: min_period_setup_hold {} in {:.3}s",
-            if sh.is_some() { "found" } else { "none" },
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    if let Some(sh) = sh {
-        let phi = relax(sh.phi);
-        // Re-derive the retiming at the relaxed period for slack.
-        let t1 = std::time::Instant::now();
-        let retiming = setup_hold::feasible_setup_hold(graph, phi, config.t_setup, config.t_hold)
-            .unwrap_or(sh.retiming);
+    let searched = setup_hold::min_period_setup_hold(graph, config.t_setup, config.t_hold);
+    let used_setup_hold = searched.is_some();
+    // The fallback, plain min-period retiming, is the same search
+    // without the hold constraint.
+    let t_hold = if used_setup_hold { config.t_hold } else { 0 };
+    let found = match searched {
+        Some(found) => found,
+        None => setup_hold::min_period_setup_hold(graph, config.t_setup, 0).ok_or_else(|| {
+            SolveError::Initialization("no retiming meets even the trivial period bound".into())
+        })?,
+    };
+    let phi = relax(found.phi);
+    // Re-derive the retiming at the relaxed period for slack.
+    let retiming = setup_hold::feasible_setup_hold(graph, phi, config.t_setup, t_hold)
+        .unwrap_or(found.retiming);
+    // R_min is the minimum register-launched short path; in the fallback
+    // it is the minimum gate delay (P2 then never binds beyond what any
+    // single gate provides).
+    let short_path = if used_setup_hold {
         let params = ElwParams {
             phi,
             t_setup: config.t_setup,
-            t_hold: config.t_hold,
+            t_hold,
         };
-        let t2 = std::time::Instant::now();
-        let labels = LrLabels::compute(graph, &retiming, params)
-            .map_err(|e| SolveError::Initialization(e.to_string()))?;
-        let r_min = labels
+        LrLabels::compute(graph, &retiming, params)
+            .map_err(|e| SolveError::Initialization(e.to_string()))?
             .min_short_path(graph, &retiming)
-            .unwrap_or_else(|| min_gate_delay(graph));
-        if trace {
-            eprintln!(
-                "init: relaxed re-derive {:.3}s, labels+r_min {:.3}s",
-                t2.duration_since(t1).as_secs_f64(),
-                t2.elapsed().as_secs_f64()
-            );
-        }
-        return Ok(InitResult {
-            phi,
-            r_min,
-            retiming,
-            used_setup_hold: true,
-            phi_min: sh.phi,
-        });
-    }
-
-    // Fallback: plain min-period retiming; R_min = minimum gate delay
-    // (P2 then never binds beyond what any single gate provides).
-    let mp = minperiod::min_period(graph).map_err(|e| SolveError::Initialization(e.to_string()))?;
-    if trace {
-        eprintln!(
-            "init: min_period fallback phi {} in {:.3}s total",
-            mp.phi,
-            t0.elapsed().as_secs_f64()
-        );
-    }
-    // `min_period` bounds the bare path delay; the period also has to
-    // fit the setup time, as `Φ_sh` above already does.
-    let phi_min = mp.phi + config.t_setup;
-    let phi = relax(phi_min);
-    let retiming = minperiod::feasible_retiming(graph, phi - config.t_setup).unwrap_or(mp.retiming);
+    } else {
+        None
+    };
     Ok(InitResult {
         phi,
-        r_min: min_gate_delay(graph),
+        r_min: short_path.unwrap_or_else(|| min_gate_delay(graph)),
         retiming,
-        used_setup_hold: false,
-        phi_min,
+        used_setup_hold,
+        phi_min: found.phi,
     })
 }
 

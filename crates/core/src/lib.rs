@@ -106,7 +106,8 @@ pub enum SolveError {
 
 impl SolveError {
     /// The stable CLI exit code for this error: `1` infeasible
-    /// instance, `2` I/O or parse failure, `3` internal error.
+    /// instance, `2` I/O or parse failure or a netlist the retiming
+    /// graph refuses (a register-only loop), `3` internal error.
     /// (Success is `0` and "budget exceeded, degraded result emitted"
     /// is `4`; neither is an error.)
     pub fn exit_code(&self) -> u8 {
@@ -114,6 +115,7 @@ impl SolveError {
             SolveError::InfeasibleInitial(_) | SolveError::Initialization(_) => 1,
             SolveError::Retime(retime::RetimeError::Infeasible(_)) => 1,
             SolveError::Netlist(_) | SolveError::Io(_) | SolveError::Checkpoint(_) => 2,
+            SolveError::Retime(retime::RetimeError::RegisterLoop { .. }) => 2,
             SolveError::IterationLimit(_) | SolveError::Retime(_) | SolveError::Verification(_) => {
                 3
             }
@@ -207,6 +209,10 @@ mod tests {
             3
         );
         assert_eq!(SolveError::Checkpoint(String::new()).exit_code(), 2);
+        let register_loop = retime::RetimeError::RegisterLoop {
+            witness: "q".into(),
+        };
+        assert_eq!(SolveError::from(register_loop).exit_code(), 2);
         assert_eq!(SolveError::Verification(String::new()).exit_code(), 3);
     }
 

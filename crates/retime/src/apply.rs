@@ -183,7 +183,7 @@ pub fn predicted_register_count(graph: &RetimeGraph, r: &Retiming) -> i64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::minperiod::min_period;
+    use crate::setup_hold::min_period_setup_hold;
     use crate::timing::clock_period;
     use netlist::{samples, DelayModel};
 
@@ -251,7 +251,7 @@ mod tests {
     fn min_period_retimed_circuit_matches_predicted_registers() {
         let c = samples::pipeline(9, 3);
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let res = min_period(&g).unwrap();
+        let res = min_period_setup_hold(&g, 0, 0).unwrap();
         let c2 = apply_retiming(&c, &g, &res.retiming).unwrap();
         assert_eq!(
             c2.num_registers() as i64,

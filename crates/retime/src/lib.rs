@@ -10,10 +10,10 @@
 //!   clock period),
 //! * [`labels`]: the paper's `L`/`R` error-latching-window bound labels
 //!   (eq. 6) with critical witnesses and P1/P2 violation finding,
-//! * [`minperiod`]: FEAS-based min-period retiming with `O(|E|)` memory
-//!   (ingredient `\[24\]` of the paper's initialization),
 //! * [`setup_hold`]: retiming under setup and hold constraints
-//!   (ingredient `\[23\]`),
+//!   (ingredient `\[23\]` of the paper's initialization); at
+//!   `T_h = 0` it is FEAS-based min-period retiming with `O(|E|)`
+//!   memory (ingredient `\[24\]`, the initialization's fallback),
 //! * [`flow`]/[`minarea_ref`]: an **exact** `W`/`D`-matrix +
 //!   min-cost-flow reference solver for cost-minimal retiming — the
 //!   ground truth against which the paper's forest-based algorithm is
@@ -25,11 +25,13 @@
 //!
 //! ```
 //! use netlist::{samples, DelayModel};
-//! use retime::{minperiod, RetimeGraph, Retiming};
+//! use retime::{setup_hold, RetimeGraph};
 //! # fn main() -> Result<(), retime::RetimeError> {
 //! let circuit = samples::pipeline(9, 3);
 //! let graph = RetimeGraph::from_circuit(&circuit, &DelayModel::unit())?;
-//! let result = minperiod::min_period(&graph)?;
+//! // Min-period retiming: the setup+hold search at T_s = T_h = 0.
+//! let result = setup_hold::min_period_setup_hold(&graph, 0, 0)
+//!     .expect("r = 0 meets the upper bound");
 //! assert_eq!(result.phi, 3);
 //! let retimed = retime::apply::apply_retiming(&circuit, &graph, &result.retiming)?;
 //! assert!(retimed.num_registers() > 0);
@@ -46,7 +48,6 @@ pub mod flow;
 mod graph;
 pub mod labels;
 pub mod minarea_ref;
-pub mod minperiod;
 pub mod setup_hold;
 pub mod timing;
 

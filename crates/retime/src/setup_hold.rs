@@ -1,6 +1,7 @@
 //! Retiming under simultaneous setup **and** hold constraints — the
 //! `\[23\]` (Lin & Zhou, DAC'06) ingredient of the paper's §V
-//! initialization.
+//! initialization — and, at `T_h = 0`, plain min-period retiming by the
+//! FEAS relaxation of Leiserson and Saxe (`\[24\]`, §V's fallback).
 //!
 //! The full Lin–Zhou algorithm is a research artifact of its own; this
 //! module implements a conservative joint-repair scheme that produces
@@ -9,14 +10,20 @@
 //! infeasibility (the paper observes genuine infeasibility on several
 //! circuits, caused by reconvergent paths). Our scheme may declare
 //! infeasibility for instances the exact algorithm could solve; that
-//! only switches §V to its documented fallback (`Φ_min` from plain
-//! min-period retiming and `R_min` = minimum gate delay), so the
+//! only switches §V to its documented fallback (`Φ_min` from the same
+//! search at `T_h = 0` and `R_min` = minimum gate delay), so the
 //! pipeline behaves exactly as the paper describes in both cases.
 //!
 //! Setup: every register-to-register combinational path ≤ `Φ − T_s`.
 //! Hold: every combinational path launched by a register has delay
 //! ≥ `T_h` (data must not race through before the capturing register's
 //! hold window closes).
+//!
+//! At `T_h = 0` no hold repair can fire: `R(u) ≤ Φ + T_h` and `d ≥ 0`
+//! give `short_path(u) ≥ d(u) ≥ 0`. Every probe is then FEAS alone, and
+//! [`min_period_setup_hold`]`(graph, T_s, 0)` is min-period retiming at
+//! `Φ − T_s`. Memory use is `O(|E|)` — no `W`/`D` matrices — so this
+//! scales to the paper's largest (b19-sized) circuits.
 
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::labels::{ElwParams, LrLabels};
@@ -131,12 +138,19 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
                 witness.reset(graph);
                 // Two symmetric repairs: push the launching register
                 // backward over the edge's tail (lengthens the path at
-                // its start), or push the terminating register forward
-                // (lengthens it at its end).
-                let mut attempt = r.clone();
-                if push_register_backward(graph, &mut attempt, graph.edge(violation.edge).from) {
-                    r = attempt;
-                } else if !push_terminating_register_forward(graph, &mut r, violation.rt) {
+                // its start), or push the register terminating the
+                // short path forward over the head `y` of an out-edge
+                // of `rt` that carries exactly one register (lengthens
+                // it at its end; heavier edges are left to the solver).
+                let tail = graph.edge(violation.edge).from;
+                let repaired = shift_zero_weight_closure(graph, &mut r, tail, 1) || {
+                    let y = graph.out_edges(violation.rt).iter().find_map(|&e| {
+                        let edge = graph.edge(e);
+                        (!edge.to.is_host() && graph.retimed_weight(e, &r) == 1).then_some(edge.to)
+                    });
+                    y.is_some_and(|y| shift_zero_weight_closure(graph, &mut r, y, -1))
+                };
+                if !repaired {
                     report("unrepairable", feas_steps, hold_repairs);
                     return None;
                 }
@@ -156,78 +170,48 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
     None
 }
 
-/// Moves the register terminating the critical short path (sitting on
-/// an out-edge of `z`) one vertex forward: decreases `r(y)` for a
-/// registered edge `(z, y)` carrying exactly one register, together
-/// with the backward closure of `y` through zero-weight in-edges (to
-/// keep P0). Fails when the closure hits the host or when every
-/// registered out-edge of `z` carries more than one register (the
-/// multi-register case is handled by the full MinObsWin machinery, not
-/// this initialization helper).
-fn push_terminating_register_forward(graph: &RetimeGraph, r: &mut Retiming, z: VertexId) -> bool {
-    let Some(y) = graph.out_edges(z).iter().find_map(|&e| {
-        let edge = graph.edge(e);
-        (!edge.to.is_host() && graph.retimed_weight(e, r) == 1).then_some(edge.to)
-    }) else {
-        return false;
-    };
-    // Backward closure: decreasing r(y) drains its zero-weight
-    // in-edges, whose sources must decrease too.
-    let mut closure = vec![false; graph.num_vertices()];
-    let mut stack = vec![y];
-    closure[y.index()] = true;
-    while let Some(v) = stack.pop() {
-        for &e in graph.in_edges(v) {
-            let edge = graph.edge(e);
-            if graph.retimed_weight(e, r) > 0 {
-                continue;
-            }
-            if edge.from.is_host() {
-                return false;
-            }
-            if !closure[edge.from.index()] {
-                closure[edge.from.index()] = true;
-                stack.push(edge.from);
-            }
-        }
-    }
-    for v in graph.vertices() {
-        if closure[v.index()] {
-            r.add(v, -1);
-        }
-    }
-    true
-}
-
-/// Moves a register backward over `tail` (and over the closure of
-/// vertices reachable from `tail` through zero-weight edges, to keep P0
-/// satisfied). Returns `false` when the closure hits the host — the
-/// register cannot be pushed out of the circuit.
-fn push_register_backward(graph: &RetimeGraph, r: &mut Retiming, tail: VertexId) -> bool {
-    if tail.is_host() {
+/// Shifts `r` by `step` on `start` and on every vertex `start` reaches
+/// through zero-weight edges, walking out-edges for `step = 1` and
+/// in-edges for `step = -1`: the edges a shift of `start` alone would
+/// drain below zero (P0). `r` changes only once the walk succeeds; it
+/// fails, leaving `r` as it was, when the closure meets the host (a
+/// register would have to move past an I/O).
+fn shift_zero_weight_closure(
+    graph: &RetimeGraph,
+    r: &mut Retiming,
+    start: VertexId,
+    step: i64,
+) -> bool {
+    if start.is_host() {
         return false;
     }
     let mut closure = vec![false; graph.num_vertices()];
-    let mut stack = vec![tail];
-    closure[tail.index()] = true;
+    let mut stack = vec![start];
+    closure[start.index()] = true;
     while let Some(v) = stack.pop() {
-        for &e in graph.out_edges(v) {
-            let edge = graph.edge(e);
+        let edges = if step > 0 {
+            graph.out_edges(v)
+        } else {
+            graph.in_edges(v)
+        };
+        for &e in edges {
             if graph.retimed_weight(e, r) > 0 {
                 continue; // a register already separates us
             }
-            if edge.to.is_host() {
-                return false; // would need to move a register past a PO
+            let edge = graph.edge(e);
+            let next = if step > 0 { edge.to } else { edge.from };
+            if next.is_host() {
+                return false;
             }
-            if !closure[edge.to.index()] {
-                closure[edge.to.index()] = true;
-                stack.push(edge.to);
+            if !closure[next.index()] {
+                closure[next.index()] = true;
+                stack.push(next);
             }
         }
     }
     for v in graph.vertices() {
         if closure[v.index()] {
-            r.add(v, 1);
+            r.add(v, step);
         }
     }
     true
@@ -265,7 +249,10 @@ pub fn meets_setup_hold(
 /// Minimizes the clock period under setup and hold constraints
 /// (binary search over [`feasible_setup_hold`]). Returns `None` when no
 /// retiming is found even at a generous period — the paper's
-/// "no valid retiming under setup and hold" outcome.
+/// "no valid retiming under setup and hold" outcome. At `t_hold = 0`
+/// this is min-period retiming, and `None` is then impossible for
+/// graphs built from valid circuits (the `r = 0` retiming meets the
+/// upper bound).
 ///
 /// The search runs in two tiers. The scan tier probes with a small
 /// FEAS cap (feasible probes converge almost immediately in practice,
@@ -335,7 +322,11 @@ pub fn min_period_setup_hold(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::timing::clock_period;
+    use crate::timing::tests::ring;
+    use netlist::generator::{table1_twins, GeneratorConfig};
     use netlist::{samples, DelayModel};
+    use proptest::prelude::*;
 
     #[test]
     fn pipeline_meets_both_constraints() {
@@ -376,18 +367,9 @@ mod tests {
     }
 
     #[test]
-    fn setup_only_matches_min_period() {
-        let c = samples::pipeline(9, 3);
-        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let res = min_period_setup_hold(&g, 0, 0).expect("hold of 0 is free");
-        let mp = crate::minperiod::min_period(&g).unwrap();
-        assert_eq!(res.phi, mp.phi);
-    }
-
-    #[test]
     fn generated_circuits_give_valid_results() {
         for seed in 0..4 {
-            let c = netlist::generator::GeneratorConfig::new("sh", seed)
+            let c = GeneratorConfig::new("sh", seed)
                 .gates(100)
                 .registers(20)
                 .build();
@@ -398,6 +380,174 @@ mod tests {
                     "seed {seed}"
                 );
             }
+        }
+    }
+
+    // Min-period retiming: the search at `T_h = 0`.
+
+    #[test]
+    fn pipeline_rebalances_to_optimal() {
+        // 6 unit gates in one segment + feedback register: the loop has
+        // 2 registers (r after stage? no: pipeline(6,6) has only the fb
+        // register) — one register on a 6-delay loop: min period 6.
+        let c = samples::pipeline(6, 6);
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        let res = min_period_setup_hold(&g, 0, 0).unwrap();
+        // Loop: s0..s5 + fb(1 register). Total loop delay 6, one
+        // register: no retiming can beat 6.
+        assert_eq!(res.phi, 6);
+        assert!(meets_setup_hold(&g, &res.retiming, res.phi, 0, 0));
+    }
+
+    #[test]
+    fn pipeline_with_more_registers_gets_faster() {
+        let c = samples::pipeline(9, 3); // loop with 3 registers, delay 9
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        let res = min_period_setup_hold(&g, 0, 0).unwrap();
+        assert_eq!(res.phi, 3, "3 registers over 9 delay unit loop");
+        assert!(meets_setup_hold(&g, &res.retiming, res.phi, 0, 0));
+    }
+
+    #[test]
+    fn unbalanced_pipeline_improves() {
+        // Put all the slack in one segment: registers every 1 then a
+        // long tail — pipeline(8, 2): registers after s1, s3, s5 + fb:
+        // 4 registers on an 8-delay loop: min period 2.
+        let c = samples::pipeline(8, 2);
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        let initial = clock_period(&g, &Retiming::zero(&g)).unwrap();
+        let res = min_period_setup_hold(&g, 0, 0).unwrap();
+        assert_eq!(initial, 2);
+        assert_eq!(res.phi, 2);
+    }
+
+    #[test]
+    fn s27_min_period_feasible_and_not_worse() {
+        let c = samples::s27_like();
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::default()).unwrap();
+        let initial = clock_period(&g, &Retiming::zero(&g)).unwrap();
+        let res = min_period_setup_hold(&g, 0, 0).unwrap();
+        assert!(res.phi <= initial);
+        assert!(meets_setup_hold(&g, &res.retiming, res.phi, 0, 0));
+        // No retiming beats the slowest gate.
+        assert!(res.phi >= g.vertices().map(|v| g.delay(v)).max().unwrap());
+    }
+
+    #[test]
+    fn infeasible_below_min() {
+        let c = samples::pipeline(6, 6);
+        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+        assert!(feasible_setup_hold(&g, 5, 0, 0).is_none());
+        assert!(feasible_setup_hold(&g, 6, 0, 0).is_some());
+    }
+
+    #[test]
+    fn generated_circuits_round_trip() {
+        for seed in 0..5 {
+            let c = GeneratorConfig::new("mp", seed)
+                .gates(120)
+                .registers(25)
+                .build();
+            let g = RetimeGraph::from_circuit(&c, &DelayModel::default()).unwrap();
+            let res = min_period_setup_hold(&g, 0, 0).unwrap();
+            assert!(
+                meets_setup_hold(&g, &res.retiming, res.phi, 0, 0),
+                "seed {seed}"
+            );
+            let initial = clock_period(&g, &Retiming::zero(&g)).unwrap();
+            assert!(res.phi <= initial, "seed {seed}");
+        }
+    }
+
+    // The two-tier search against an all-full-cap search.
+
+    /// A plain bisection over [`feasible_setup_hold`] at the full
+    /// `|V| + 2` cap, over the range [`min_period_setup_hold`] searches:
+    /// the oracle for its quick-cap scan and full-cap confirm.
+    fn full_cap_bisection(g: &RetimeGraph, t_setup: i64, t_hold: i64) -> Option<SetupHoldResult> {
+        let max_delay = g.vertices().map(|v| g.delay(v)).max().unwrap_or(0);
+        let total_delay: i64 = g.vertices().map(|v| g.delay(v)).sum();
+        let mut hi = (total_delay + t_setup).max(1);
+        let mut best = SetupHoldResult {
+            phi: hi,
+            retiming: feasible_setup_hold(g, hi, t_setup, t_hold)?,
+        };
+        let mut lo = (max_delay + t_setup).max(t_hold);
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match feasible_setup_hold(g, mid, t_setup, t_hold) {
+                Some(retiming) => {
+                    best = SetupHoldResult { phi: mid, retiming };
+                    hi = mid;
+                }
+                None => lo = mid + 1,
+            }
+        }
+        Some(best)
+    }
+
+    /// [`min_period_setup_hold`] returns the oracle's `(Φ, retiming)`
+    /// at every `T_s ∈ {0, 1}` and `T_h ∈ {0, 2}`.
+    fn assert_search_matches_oracle(g: &RetimeGraph, what: &str) {
+        for t_setup in [0, 1] {
+            for t_hold in [0, 2] {
+                assert_eq!(
+                    min_period_setup_hold(g, t_setup, t_hold),
+                    full_cap_bisection(g, t_setup, t_hold),
+                    "{what}: T_s {t_setup}, T_h {t_hold}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn search_matches_full_cap_bisection_on_samples_and_rings() {
+        for c in &[
+            samples::s27_like(),
+            samples::pipeline(9, 3),
+            samples::pipeline(24, 8),
+            samples::fig1_like(),
+            samples::two_stage_loop(),
+        ] {
+            for delays in [DelayModel::unit(), DelayModel::default()] {
+                let g = RetimeGraph::from_circuit(c, &delays).unwrap();
+                assert_search_matches_oracle(&g, c.name());
+            }
+        }
+        // Bunched registers: FEAS needs many rounds to move them apart,
+        // and past 62 vertices the scan's quick cap is below the full
+        // cap, so a premature quick-cap `None` would show.
+        for (stages, regs_after) in [(64, &[0, 1][..]), (96, &[0, 1, 2]), (150, &[0, 1, 2, 3])] {
+            let c = ring(stages, regs_after);
+            let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
+            assert!(g.num_vertices() > 62, "quick cap below the full cap");
+            assert_search_matches_oracle(&g, &format!("ring({stages})"));
+        }
+    }
+
+    #[test]
+    fn search_matches_full_cap_bisection_on_the_table1_twins() {
+        for c in table1_twins(64) {
+            let g = RetimeGraph::from_circuit(&c, &DelayModel::default()).unwrap();
+            assert_search_matches_oracle(&g, c.name());
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn search_matches_full_cap_bisection_on_generated_circuits(
+            seed in 0u64..1_000_000,
+            gates in 12usize..120,
+            registers in 2usize..30,
+            unit in 0u32..2,
+        ) {
+            let c = GeneratorConfig::new("oracle", seed)
+                .gates(gates)
+                .registers(registers)
+                .build();
+            let delays = if unit == 1 { DelayModel::unit() } else { DelayModel::default() };
+            let g = RetimeGraph::from_circuit(&c, &delays).unwrap();
+            assert_search_matches_oracle(&g, &format!("seed {seed}"));
         }
     }
 }

@@ -206,7 +206,7 @@ mod tests {
             ("fig1", samples::fig1_like()),
         ] {
             let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-            let res = retime::minperiod::min_period(&g).unwrap();
+            let res = retime::setup_hold::min_period_setup_hold(&g, 0, 0).unwrap();
             let rebuilt = apply_retiming(&c, &g, &res.retiming).unwrap();
             let verdict = check_equivalence(&c, &rebuilt, EquivConfig::default());
             assert!(verdict.is_equivalent(), "{name}: {verdict:?}");
@@ -221,7 +221,7 @@ mod tests {
                 .registers(30)
                 .build();
             let g = RetimeGraph::from_circuit(&c, &DelayModel::default()).unwrap();
-            let res = retime::minperiod::min_period(&g).unwrap();
+            let res = retime::setup_hold::min_period_setup_hold(&g, 0, 0).unwrap();
             let rebuilt = apply_retiming(&c, &g, &res.retiming).unwrap();
             let verdict = check_equivalence(&c, &rebuilt, EquivConfig::default());
             assert!(verdict.is_equivalent(), "seed {seed}: {verdict:?}");

@@ -119,6 +119,9 @@ impl fmt::Display for Json {
         match self {
             Json::Null => write!(f, "null"),
             Json::Bool(b) => write!(f, "{b}"),
+            // JSON has no NaN or infinity: write them as `null`, so
+            // that everything written parses back.
+            Json::Num(n) if !n.is_finite() => write!(f, "null"),
             Json::Num(n) => {
                 if n.fract() == 0.0 && n.abs() < 2f64.powi(53) {
                     write!(f, "{}", *n as i64)
@@ -421,6 +424,21 @@ mod tests {
         assert_eq!(Json::num(4u32).to_string(), "4");
         assert_eq!(Json::num(2.5).to_string(), "2.5");
         assert_eq!(Json::Num(-0.0).to_string(), "0");
+    }
+
+    #[test]
+    fn non_finite_numbers_write_as_null_and_parse_back() {
+        for n in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let text = Json::num(n).to_string();
+            assert_eq!(text, "null");
+            assert_eq!(Json::parse(&text).unwrap(), Json::Null);
+        }
+        let meta = Json::obj(vec![("delta_ser", Json::num(f64::NAN))]).to_string();
+        assert_eq!(meta, r#"{"delta_ser":null}"#);
+        assert_eq!(
+            Json::parse(&meta).unwrap().get("delta_ser"),
+            Some(&Json::Null)
+        );
     }
 
     #[test]

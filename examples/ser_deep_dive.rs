@@ -46,7 +46,9 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
 
     let graph = RetimeGraph::from_circuit(&circuit, &DelayModel::default())?;
-    let phi = retime::minperiod::min_period(&graph)?.phi * 11 / 10;
+    let min_period = retime::setup_hold::min_period_setup_hold(&graph, 0, 0)
+        .ok_or("no retiming meets even the trivial period bound")?;
+    let phi = min_period.phi * 11 / 10;
     let config = SerConfig {
         sim,
         elw: ElwParams::with_phi(phi),

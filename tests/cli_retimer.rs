@@ -310,6 +310,76 @@ fn retimer_exits_two_on_missing_input_file() {
 }
 
 #[test]
+fn retimer_exits_two_on_a_register_only_loop() {
+    // 2 = a netlist the retiming graph refuses: a loop of registers with
+    // no gate on it is a property of the input, like a combinational
+    // cycle, not an internal error.
+    let dir = workdir("register_loop");
+    let input = dir.join("loop.bench");
+    std::fs::write(&input, "INPUT(a)\nOUTPUT(q)\nq = DFF(q2)\nq2 = DFF(q)\n").expect("write input");
+    let input = input.to_str().unwrap();
+    for sub in ["solve", "estimate", "fault-sim"] {
+        let out = Command::new(bin())
+            .args([sub, input, "--vectors", "64", "--frames", "4"])
+            .output()
+            .expect("run retimer");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{sub}: {stderr}");
+        assert!(
+            stderr.contains("error: retiming error: register-only loop through `q`"),
+            "{sub}: {stderr}"
+        );
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn retimer_reports_a_zero_to_zero_change_as_no_change() {
+    // A register-free circuit keeps 0 registers and a circuit with no
+    // output has SER 0 before and after: neither is a -100% or NaN
+    // change.
+    let dir = workdir("zero_to_zero");
+    let solve = |name: &str, source: &str| {
+        let input = dir.join(format!("{name}.bench"));
+        std::fs::write(&input, source).expect("write input");
+        let report = dir.join(format!("{name}.csv"));
+        let out = Command::new(bin())
+            .args([
+                "solve",
+                input.to_str().unwrap(),
+                "--vectors",
+                "64",
+                "--frames",
+                "4",
+            ])
+            .arg("--report")
+            .arg(&report)
+            .output()
+            .expect("run retimer");
+        let stdout = String::from_utf8_lossy(&out.stdout).into_owned();
+        assert_eq!(out.status.code(), Some(0), "{name}: {stdout}");
+        let csv = std::fs::read_to_string(&report).expect("read report");
+        (stdout, csv)
+    };
+
+    let (stdout, _) = solve(
+        "no_register",
+        "INPUT(a)\nINPUT(b)\nOUTPUT(y)\ny = NAND(a, b)\n",
+    );
+    assert!(stdout.contains("original : #FF      0"), "{stdout}");
+    assert_eq!(stdout.matches("dFF +0.00%").count(), 2, "{stdout}");
+
+    let (stdout, csv) = solve("zero_ser", "INPUT(a)\nq = DFF(a)\nx = NOT(q)\n");
+    assert!(stdout.contains("SER 0.0000e0"), "{stdout}");
+    assert_eq!(stdout.matches("dSER +0.00%").count(), 2, "{stdout}");
+    assert!(stdout.contains("SER_ref / SER_new = 100%"), "{stdout}");
+    assert!(!stdout.contains("NaN"), "{stdout}");
+    let row = csv.lines().nth(1).expect("one row");
+    assert!(row.ends_with(",1"), "ser_ratio of a 0 -> 0 SER is 1: {csv}");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
 fn retimer_exits_two_on_bad_simulation_sizes() {
     // 2 = usage error: every subcommand that simulates checks the size
     // with `SimConfig::validate` instead of panicking in the engine.

@@ -2,7 +2,7 @@
 //! protocol: submit real and garbage jobs, read the event stream,
 //! close stdin (the portable drain signal), and check the exit code.
 
-use std::io::Write;
+use std::io::{BufRead, BufReader, Write};
 use std::path::PathBuf;
 use std::process::{Command, Stdio};
 
@@ -136,6 +136,71 @@ fn serve_cache_hit_across_daemon_restarts() {
         done.contains(r#""cached":true"#),
         "restart must serve from cache: {done}"
     );
+    let _ = std::fs::remove_dir_all(&cache);
+}
+
+/// A circuit whose SER is 0 before and after retiming (it has no
+/// output), so its ΔSER compares 0 with 0.
+const ZERO_SER_SOURCE: &str = "INPUT(a)\nq = DFF(a)\nx = NOT(q)\n";
+
+/// A zero-SER job's sealed result parses back: `result` returns its
+/// netlist, and a resubmission under a new id is served from the cache.
+/// Driven one request at a time, because `result` does not wait for
+/// the job.
+#[test]
+fn serve_returns_and_caches_a_zero_ser_result() {
+    let cache = tmpdir("zero-ser");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_retimer"))
+        .args(["serve", "--cache"])
+        .arg(&cache)
+        .args(["--workers", "1", "--time-budget", "30"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("retimer serve starts");
+    let mut stdin = child.stdin.take().expect("stdin piped");
+    let mut lines = BufReader::new(child.stdout.take().expect("stdout piped")).lines();
+    let mut next_line_with = |needles: &[&str]| -> String {
+        lines
+            .by_ref()
+            .map(|line| line.expect("utf-8 protocol output"))
+            .find(|line| needles.iter().any(|n| line.contains(n)))
+            .unwrap_or_else(|| panic!("stream ended before any of {needles:?}"))
+    };
+    let submit = |id: &str| {
+        format!(
+            r#"{{"op":"submit","id":"{id}","format":"bench","vectors":64,"frames":4,"source":{}}}"#,
+            json_string(ZERO_SER_SOURCE)
+        )
+    };
+
+    writeln!(stdin, "{}", submit("zero-1")).expect("request written");
+    let done = next_line_with(&[r#""event":"done","id":"zero-1""#]);
+    assert!(done.contains(r#""status":"done""#), "{done}");
+    assert!(done.contains(r#""cached":false"#), "{done}");
+
+    writeln!(stdin, r#"{{"op":"result","id":"zero-1"}}"#).expect("request written");
+    let result = next_line_with(&[r#""event":"result""#, r#""context":"result""#]);
+    assert!(
+        result.contains(r#""event":"result","id":"zero-1""#),
+        "{result}"
+    );
+    assert!(
+        result.contains("DFF"),
+        "the result carries the netlist: {result}"
+    );
+
+    writeln!(stdin, "{}", submit("zero-2")).expect("request written");
+    let done = next_line_with(&[r#""event":"done","id":"zero-2""#]);
+    assert!(done.contains(r#""status":"done""#), "{done}");
+    assert!(
+        done.contains(r#""cached":true"#),
+        "a resubmission is served from the cache: {done}"
+    );
+
+    drop(stdin);
+    assert_eq!(child.wait().expect("serve exits").code(), Some(0));
     let _ = std::fs::remove_dir_all(&cache);
 }
 

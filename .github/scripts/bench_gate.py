@@ -19,7 +19,7 @@ import json
 import sys
 
 # The solver's answer is deterministic: on rows undegraded on both
-# sides, any change of these fields in either engine is a behaviour
+# sides, any change of these fields of the `solve` block is a behaviour
 # change, not timing noise, and fails the job.
 ANSWER = ("objective_gain", "commits", "iterations", "violations_batched")
 # §V init's answers are deterministic too, and no solve budget applies
@@ -52,15 +52,14 @@ def check_answer(c, b, failures):
                 failures.append(f"{c['name']}: init {field} changed {want} -> {got}")
     if c.get("degraded") or b.get("degraded"):
         return
-    for engine in ("warm", "fresh"):
-        for field in ANSWER:
-            got, want = c[engine][field], b[engine][field]
-            if got != want:
-                failures.append(f"{c['name']}: {engine} {field} changed {want} -> {got}")
+    for field in ANSWER:
+        got, want = c["solve"][field], b["solve"][field]
+        if got != want:
+            failures.append(f"{c['name']}: solve {field} changed {want} -> {got}")
 
 
 def gate_solver(baseline_path, new_path):
-    """Answer columns of both engines, §V init answers, and the warm closure time."""
+    """Solve answer columns, §V init answers, and the warm closure time."""
     failures = []
     for c, b in rows(baseline_path, new_path):
         if b is None:
@@ -79,11 +78,11 @@ def gate_solver(baseline_path, new_path):
             continue
         check_answer(c, b, failures)
         # Informational: the warm engine's work, not gated.
-        got, want = c["warm"]["closure_arcs_touched"], b["warm"]["closure_arcs_touched"]
+        got, want = c["solve"]["closure_arcs_touched"], b["solve"]["closure_arcs_touched"]
         status = "OK" if got == want else "CHANGED"
         print(f"{c['name']}: closure_arcs_touched {want} -> {got} [{status}]")
-        got = c["warm"]["closure_warm_nanos"]
-        want = b["warm"]["closure_warm_nanos"]
+        got = c["solve"]["closure_warm_nanos"]
+        want = b["solve"]["closure_warm_nanos"]
         ratio = got / want if want else float("inf")
         print(f"{c['name']}: closure_warm_nanos {want} -> {got} ({ratio:.2f}x)")
         if want and got > 2 * want:
@@ -106,16 +105,16 @@ def gate_solver_phases(baseline_path, new_path):
         if b is None or c.get("degraded") != b.get("degraded"):
             continue
         for phase in PHASES:
-            if phase not in b["warm"]:
+            if phase not in b["solve"]:
                 print(f"{c['name']}: baseline predates {phase}, skipping")
                 continue
-            iters_got = max(c["warm"]["iterations"], 1)
-            iters_want = max(b["warm"]["iterations"], 1)
-            got = c["warm"][phase] / iters_got
-            want = b["warm"][phase] / iters_want
+            iters_got = max(c["solve"]["iterations"], 1)
+            iters_want = max(b["solve"]["iterations"], 1)
+            got = c["solve"][phase] / iters_got
+            want = b["solve"][phase] / iters_want
             ratio = got / want if want else float("inf")
             print(f"{c['name']}: {phase}/iter {want:.0f} -> {got:.0f} ({ratio:.2f}x)")
-            if b["warm"][phase] >= GATE_FLOOR_NANOS and got > 2 * want:
+            if b["solve"][phase] >= GATE_FLOOR_NANOS and got > 2 * want:
                 failures.append(f"{c['name']}: {phase} regressed {ratio:.2f}x (>2x)")
         # §V init runs once per row, before the solve: compare its wall
         # time as is, under the same 10 ms floor (the samples, 300 and

@@ -1,57 +1,20 @@
 //! Solver runtime: Efficient MinObs vs. MinObsWin (the paper's
 //! `t_ref`/`t_new` columns — MinObsWin was ~2.5× slower on average).
 
+use bench_harness::solver_bench::generated_instance;
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use minobswin::algorithm::SolverConfig;
 use minobswin::init::InitConfig;
-use minobswin::{Problem, SolverSession};
+use minobswin::SolverSession;
 use netlist::generator::GeneratorConfig;
-use netlist::rng::Xoshiro256;
 use netlist::DelayModel;
-use retime::{ElwParams, RetimeGraph};
-
-struct Prepared {
-    graph: RetimeGraph,
-    problem: Problem,
-    initial: retime::Retiming,
-}
-
-fn prepare(gates: usize) -> Prepared {
-    let circuit = GeneratorConfig::new("bench", gates as u64)
-        .gates(gates)
-        .registers(gates / 5)
-        .inputs(12)
-        .outputs(12)
-        .target_edges(gates * 22 / 10)
-        .build();
-    let graph = RetimeGraph::from_circuit(&circuit, &DelayModel::default()).unwrap();
-    let init = InitConfig::default().initialize(&graph).unwrap();
-    let params = ElwParams::with_phi(init.phi);
-    // Synthetic observability counts stand in for the simulation here
-    // (the solvers only see the b coefficients).
-    let mut rng = Xoshiro256::seed_from_u64(7);
-    let counts: Vec<i64> = (0..graph.num_vertices())
-        .map(|i| {
-            if i == 0 {
-                1024
-            } else {
-                rng.gen_range(1025) as i64
-            }
-        })
-        .collect();
-    let problem = Problem::from_observability_counts(&graph, &counts, params, init.r_min);
-    Prepared {
-        graph,
-        problem,
-        initial: init.retiming,
-    }
-}
+use retime::RetimeGraph;
 
 fn bench_solvers(c: &mut Criterion) {
     let mut group = c.benchmark_group("retiming_solvers");
     group.sample_size(10);
     for gates in [300usize, 1000] {
-        let prepared = prepare(gates);
+        let prepared = generated_instance(gates).unwrap();
         group.bench_with_input(BenchmarkId::new("minobs", gates), &prepared, |b, p| {
             b.iter(|| {
                 SolverSession::new(&p.graph, &p.problem)

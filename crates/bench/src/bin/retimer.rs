@@ -584,8 +584,8 @@ fn run_harden(args: Args) -> Result<u8, CliError> {
     Ok(0)
 }
 
-/// Benchmarks the warm-started closure engine against fresh Dinic
-/// builds and writes the counters as JSON (`BENCH_solver.json`).
+/// Times one MinObsWin solve per circuit and writes its answers and
+/// counters as JSON (`BENCH_solver.json`).
 fn run_bench_solve(mut args: Args) -> Result<u8, CliError> {
     use bench_harness::solver_bench;
 
@@ -603,20 +603,15 @@ fn run_bench_solve(mut args: Args) -> Result<u8, CliError> {
     let mut records = Vec::new();
     for instance in &instances {
         let record = solver_bench::measure_with_budget(instance, &budget)?;
-        degraded |= record.warm.stats.degradation.budget_stop.is_some()
-            || record.fresh.stats.degradation.budget_stop.is_some();
+        degraded |= record.degraded;
         println!(
-            "{:<16} |V| {:>5} |E| {:>5}  closure warm {:>8.0} arcs/call, \
-             fresh {:>9.0} ({:>5.1}x), {:.3}s vs {:.3}s; \
+            "{:<16} |V| {:>5} |E| {:>5}  closure {:>8.0} arcs/call, solve {:.3}s; \
              init Phi {} R_min {} setup+hold {} in {:.3}s",
             record.name,
             record.vertices,
             record.edges,
-            record.warm.stats.perf.arcs_per_closure(),
-            record.fresh.stats.perf.arcs_per_closure(),
-            record.closure_arc_ratio(),
-            record.warm.solve_seconds,
-            record.fresh.solve_seconds,
+            record.solve.stats.perf.arcs_per_closure(),
+            record.solve.solve_seconds,
             record.init.phi,
             record.init.r_min,
             record.init.used_setup_hold,

@@ -1,15 +1,14 @@
-//! Benchmark of the solver's warm-started closure engine against fresh
-//! Dinic builds, on sample and generated circuits. Shared by the
-//! `retimer bench-solve` subcommand and the `solver` criterion bench;
-//! the JSON it emits (`BENCH_solver.json`) is the tracked baseline.
+//! Benchmark of the solver on sample and generated circuits: one timed
+//! solve per circuit, with its answers, work counters and per-phase
+//! nanos. Shared by the `retimer bench-solve` subcommand and the
+//! `retiming` criterion bench; the JSON it emits (`BENCH_solver.json`)
+//! is the tracked baseline.
 
 use std::fmt::Write as _;
 use std::time::Instant;
 
-use minobswin::algorithm::{SolverConfig, SolverStats};
-use minobswin::closure_inc::ClosureEngine;
+use minobswin::algorithm::SolverStats;
 use minobswin::init::InitConfig;
-use minobswin::perf::PerfCounters;
 use minobswin::{Problem, SolveBudget, SolveError, SolverSession, Supervision};
 use netlist::generator::GeneratorConfig;
 use netlist::rng::Xoshiro256;
@@ -121,18 +120,18 @@ pub fn generated_circuit(gates: usize) -> Circuit {
         .build()
 }
 
-/// One engine's measured solver run.
+/// One measured solver run.
 #[derive(Clone)]
 pub struct EngineRun {
     /// Wall-clock seconds inside the solver.
     pub solve_seconds: f64,
-    /// The objective gain (must agree across closure engines).
+    /// The objective gain.
     pub objective_gain: i64,
     /// Full run counters, including [`SolverStats::perf`].
     pub stats: SolverStats,
 }
 
-/// Both engines' runs over one instance.
+/// The solver run over one instance.
 #[derive(Clone)]
 pub struct BenchRecord {
     /// Circuit name.
@@ -141,113 +140,51 @@ pub struct BenchRecord {
     pub vertices: usize,
     /// Retiming-graph edges.
     pub edges: usize,
-    /// The §V initialization both runs start from.
+    /// The §V initialization the run starts from.
     pub init: InitRun,
-    /// The run with the warm-started closure engine (the default
-    /// configuration).
-    pub warm: EngineRun,
-    /// The run with a fresh Dinic build per closure call.
-    pub fresh: EngineRun,
-    /// Whether either engine's run was truncated by the solve budget.
-    /// Degraded rows are not comparable to converged ones: their
-    /// counters reflect wherever the budget happened to stop, so CI
-    /// diff scripts must never compare a degraded row against a
-    /// converged baseline (or vice versa).
+    /// The MinObsWin solve (the default configuration).
+    pub solve: EngineRun,
+    /// Whether the run was truncated by the solve budget. Degraded
+    /// rows are not comparable to converged ones: their counters
+    /// reflect wherever the budget happened to stop, so CI diff
+    /// scripts must never compare a degraded row against a converged
+    /// baseline (or vice versa).
     pub degraded: bool,
 }
 
-impl BenchRecord {
-    /// How many times fewer arcs per closure call the warm-started
-    /// engine touches, compared to a fresh Dinic build (higher is
-    /// better).
-    pub fn closure_arc_ratio(&self) -> f64 {
-        let warm = self.warm.stats.perf.arcs_per_closure();
-        let fresh = self.fresh.stats.perf.arcs_per_closure();
-        if warm <= 0.0 {
-            return 0.0;
-        }
-        fresh / warm
-    }
-}
-
-fn timed_run(
-    instance: &BenchInstance,
-    config: SolverConfig,
-    budget: &SolveBudget,
-) -> Result<EngineRun, SolveError> {
-    // Fresh token per run: the limits are shared but a deadline expiry
-    // in one engine's run must not cancel the other's.
-    let per_run = SolveBudget::new()
-        .with_wall_time(budget.wall_time)
-        .with_max_iterations(budget.max_iterations)
-        .with_max_memory_estimate(budget.max_memory_estimate);
-    let t0 = Instant::now();
-    let outcome = SolverSession::new(&instance.graph, &instance.problem)
-        .config(config)
-        .initial(instance.initial.clone())
-        .run_supervised(Supervision::new().budget(per_run))?;
-    let solution = outcome.into_solution();
-    Ok(EngineRun {
-        solve_seconds: t0.elapsed().as_secs_f64(),
-        objective_gain: solution.objective_gain,
-        stats: solution.stats,
-    })
-}
-
-/// Runs both engines over one instance with an unlimited budget.
+/// Runs the solver over one instance under `budget`'s limits, with a
+/// fresh cancellation token, so one row's deadline expiry never
+/// cancels the next row's run.
 ///
 /// # Errors
 ///
 /// Propagates solver failures (the prepared start is feasible, so this
 /// indicates a bug).
-///
-/// # Panics
-///
-/// Panics if the two closure engines disagree on the objective gain —
-/// they are required to be bit-identical.
-pub fn measure(instance: &BenchInstance) -> Result<BenchRecord, SolveError> {
-    measure_with_budget(instance, &SolveBudget::new())
-}
-
-/// Runs both engines over one instance under `budget` (each engine run
-/// gets a fresh deadline derived from the budget's limits).
-///
-/// # Errors
-///
-/// See [`measure`].
-///
-/// # Panics
-///
-/// As [`measure`], except the bit-identity assertion is skipped when
-/// either run was degraded by the budget (a truncated run legitimately
-/// stops at a different objective).
 pub fn measure_with_budget(
     instance: &BenchInstance,
     budget: &SolveBudget,
 ) -> Result<BenchRecord, SolveError> {
-    let warm = timed_run(instance, SolverConfig::default(), budget)?;
-    let fresh = timed_run(
-        instance,
-        SolverConfig::default().with_closure_engine(ClosureEngine::Fresh),
-        budget,
-    )?;
-    let degraded = warm.stats.degradation.budget_stop.is_some()
-        || fresh.stats.degradation.budget_stop.is_some();
-    if !degraded {
-        assert_eq!(
-            warm.objective_gain, fresh.objective_gain,
-            "{}: the two closure engines must agree bit-for-bit",
-            instance.name
-        );
-    }
+    let per_run = SolveBudget::new()
+        .with_wall_time(budget.wall_time)
+        .with_max_iterations(budget.max_iterations)
+        .with_max_memory_estimate(budget.max_memory_estimate);
+    let t0 = Instant::now();
+    let solution = SolverSession::new(&instance.graph, &instance.problem)
+        .initial(instance.initial.clone())
+        .run_supervised(Supervision::new().budget(per_run))?
+        .into_solution();
+    let solve = EngineRun {
+        solve_seconds: t0.elapsed().as_secs_f64(),
+        objective_gain: solution.objective_gain,
+        stats: solution.stats,
+    };
     Ok(BenchRecord {
         name: instance.name.clone(),
         vertices: instance.graph.num_vertices(),
         edges: instance.graph.num_edges(),
         init: instance.init,
-        warm,
-        fresh,
-        degraded,
+        degraded: solve.stats.degradation.budget_stop.is_some(),
+        solve,
     })
 }
 
@@ -296,84 +233,46 @@ fn push_engine(out: &mut String, indent: &str, label: &str, run: &EngineRun) {
 }
 
 /// Renders the `--profile` per-phase breakdown of one record: wall
-/// time of each solver phase (constraint checking, closure selection,
-/// violation attribution, move commit) for both engines, with the
-/// unattributed remainder, plus the phase-adjacent work counters. CI
-/// uploads this table as an artifact and gates on the phase totals in
-/// the JSON.
+/// time of each solver phase (constraint checking, closure selection
+/// with its warm-engine and certificate sub-rows, violation
+/// attribution, move commit), with the unattributed remainder, plus
+/// the phase-adjacent work counters. CI uploads this table as an
+/// artifact and gates on the phase totals in the JSON.
 pub fn profile_table(r: &BenchRecord) -> String {
+    let secs = r.solve.solve_seconds;
+    let p = &r.solve.stats.perf;
     let mut out = String::new();
     let _ = writeln!(out, "profile {}", r.name);
-    let _ = writeln!(
-        out,
-        "  {:<14} {:>16} {:>7} {:>16} {:>7}",
-        "phase", "warm", "share", "fresh", "share"
-    );
-    let row = |out: &mut String, label: &str, warm_ns: u64, fresh_ns: u64, r: &BenchRecord| {
-        let share = |ns: u64, secs: f64| {
-            if secs <= 0.0 {
-                0.0
-            } else {
-                ns as f64 / 1e9 / secs * 100.0
-            }
+    let _ = writeln!(out, "  {:<14} {:>16} {:>7}", "phase", "time", "share");
+    let row = |out: &mut String, label: &str, ns: u64| {
+        let share = if secs <= 0.0 {
+            0.0
+        } else {
+            ns as f64 / 1e9 / secs * 100.0
         };
         let _ = writeln!(
             out,
-            "  {:<14} {:>13.3} ms {:>6.1}% {:>13.3} ms {:>6.1}%",
-            label,
-            warm_ns as f64 / 1e6,
-            share(warm_ns, r.warm.solve_seconds),
-            fresh_ns as f64 / 1e6,
-            share(fresh_ns, r.fresh.solve_seconds),
+            "  {label:<14} {:>13.3} ms {share:>6.1}%",
+            ns as f64 / 1e6
         );
     };
-    let wp = &r.warm.stats.perf;
-    let fp = &r.fresh.stats.perf;
-    row(&mut out, "check", wp.check_nanos, fp.check_nanos, r);
-    row(&mut out, "closure", wp.closure_nanos, fp.closure_nanos, r);
-    row(
-        &mut out,
-        "  warm",
-        wp.closure_warm_nanos,
-        fp.closure_warm_nanos,
-        r,
-    );
-    row(
-        &mut out,
-        "  certificate",
-        wp.certificate_nanos,
-        fp.certificate_nanos,
-        r,
-    );
-    row(
-        &mut out,
-        "attribute",
-        wp.attribute_nanos,
-        fp.attribute_nanos,
-        r,
-    );
-    row(&mut out, "commit", wp.commit_nanos, fp.commit_nanos, r);
-    let counted =
-        |p: &PerfCounters| p.check_nanos + p.closure_nanos + p.attribute_nanos + p.commit_nanos;
-    let other = |secs: f64, p: &PerfCounters| ((secs * 1e9) as u64).saturating_sub(counted(p));
+    row(&mut out, "check", p.check_nanos);
+    row(&mut out, "closure", p.closure_nanos);
+    row(&mut out, "  warm", p.closure_warm_nanos);
+    row(&mut out, "  certificate", p.certificate_nanos);
+    row(&mut out, "attribute", p.attribute_nanos);
+    row(&mut out, "commit", p.commit_nanos);
+    let counted = p.check_nanos + p.closure_nanos + p.attribute_nanos + p.commit_nanos;
     row(
         &mut out,
         "other",
-        other(r.warm.solve_seconds, wp),
-        other(r.fresh.solve_seconds, fp),
-        r,
+        ((secs * 1e9) as u64).saturating_sub(counted),
     );
-    let _ = writeln!(
-        out,
-        "  {:<14} {:>13.3} ms         {:>13.3} ms",
-        "total",
-        r.warm.solve_seconds * 1e3,
-        r.fresh.solve_seconds * 1e3,
-    );
+    let _ = writeln!(out, "  {:<14} {:>13.3} ms", "total", secs * 1e3);
     let _ = writeln!(
         out,
         "  closure skips {}, batched violations {}, move-set allocs {} bytes",
-        wp.closure_skips, wp.violations_batched, wp.member_clone_bytes,
+        p.closure_skips, p.violations_batched, p.member_clone_bytes,
     );
     out
 }
@@ -382,7 +281,7 @@ pub fn profile_table(r: &BenchRecord) -> String {
 /// (hand-rolled: the workspace deliberately has no serde dependency).
 pub fn to_json(records: &[BenchRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 7,\n");
+    out.push_str("{\n  \"benchmark\": \"solver-constraint-engines\",\n  \"version\": 8,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(
@@ -397,14 +296,8 @@ pub fn to_json(records: &[BenchRecord]) -> String {
              \"used_setup_hold\": {},\n        \"init_seconds\": {:.6}\n      }},\n",
             r.init.phi, r.init.r_min, r.init.used_setup_hold, r.init.seconds
         );
-        push_engine(&mut out, "      ", "warm", &r.warm);
-        out.push_str(",\n");
-        push_engine(&mut out, "      ", "fresh", &r.fresh);
-        let _ = write!(
-            out,
-            ",\n      \"closure_arc_ratio\": {:.3}\n    }}",
-            r.closure_arc_ratio()
-        );
+        push_engine(&mut out, "      ", "solve", &r.solve);
+        out.push_str("\n    }");
         out.push_str(if i + 1 < records.len() { ",\n" } else { "\n" });
     }
     out.push_str("  ]\n}\n");
@@ -419,10 +312,13 @@ mod tests {
     fn sample_records_are_consistent_and_serialize() {
         let instances = sample_instances();
         assert!(!instances.is_empty());
-        let records: Vec<BenchRecord> = instances.iter().map(|i| measure(i).unwrap()).collect();
+        let records: Vec<BenchRecord> = instances
+            .iter()
+            .map(|i| measure_with_budget(i, &SolveBudget::new()).unwrap())
+            .collect();
         let json = to_json(&records);
         assert!(json.contains("\"solver-constraint-engines\""));
-        assert!(json.contains("\"closure_arc_ratio\""));
+        assert!(json.contains("\"solve\": {"));
         assert!(json.contains("\"closure_warm_nanos\""));
         assert!(json.contains("\"certificate_nanos\""));
         assert!(json.contains("\"degraded\": false"));
@@ -434,24 +330,14 @@ mod tests {
                 r.name
             );
             assert!(!r.degraded, "{}: unlimited budget cannot degrade", r.name);
-            assert_eq!(r.warm.stats.commits, r.fresh.stats.commits);
-            assert_eq!(
-                r.warm.stats.perf.closure_calls, r.fresh.stats.perf.closure_calls,
-                "{}: identical trajectories make the same closure calls",
-                r.name
-            );
-            assert_eq!(r.warm.stats.perf.checks, r.fresh.stats.perf.checks);
-            assert_eq!(r.fresh.stats.perf.closure_warm_nanos, 0);
-            assert_eq!(r.fresh.stats.perf.certificate_nanos, 0);
-            assert!(r.warm.stats.degradation.is_clean(), "{}", r.name);
+            assert!(r.solve.stats.degradation.is_clean(), "{}", r.name);
         }
     }
 
     #[test]
     fn budget_capped_run_is_flagged_degraded() {
-        // The committed generated_10k row came from a --max-iters 2000
-        // run; this drill pins the mechanism that tags such rows so CI
-        // never compares a truncated run against a converged baseline.
+        // A budget-truncated row must be tagged, so CI never compares
+        // it against a converged baseline.
         let instance = generated_instance(300).unwrap();
         let budget = SolveBudget::new().with_max_iterations(Some(3));
         let record = measure_with_budget(&instance, &budget).unwrap();
@@ -460,50 +346,24 @@ mod tests {
         assert!(json.contains("\"degraded\": true"));
     }
 
-    #[test]
-    fn warm_closure_beats_fresh_on_a_generated_circuit() {
-        // Batched constraint learning collapsed the closure-call count
-        // (one call now digests a whole violation batch instead of one
-        // delta), so the warm engine's *per-call* advantage is far
-        // smaller than the 10-35x of the one-delta-per-iteration era —
-        // but it must still strictly beat a fresh rebuild per call.
-        let instance = generated_instance(300).unwrap();
-        let record = measure(&instance).unwrap();
-        println!(
-            "closure_arc_ratio = {:.2} (warm {:.0} vs fresh {:.0} arcs/call, {} calls)",
-            record.closure_arc_ratio(),
-            record.warm.stats.perf.arcs_per_closure(),
-            record.fresh.stats.perf.arcs_per_closure(),
-            record.warm.stats.perf.closure_calls,
-        );
-        assert!(
-            record.closure_arc_ratio() >= 1.2,
-            "expected the warm engine to touch >=1.2x fewer arcs per closure call, got {:.2}x",
-            record.closure_arc_ratio()
-        );
-    }
-
     /// An all-zero record (e.g. a solve that converged before doing any
     /// work, or a truncated run) must not poison the tracked JSON with
     /// NaN/Inf ratios: every ratio guards its zero denominator to 0.0.
     #[test]
     fn zero_denominator_ratios_are_guarded_not_nan() {
-        let zero_run = || EngineRun {
-            solve_seconds: 0.0,
-            objective_gain: 0,
-            stats: SolverStats::default(),
-        };
         let record = BenchRecord {
             name: "empty".to_string(),
             vertices: 0,
             edges: 0,
             init: InitRun::default(),
-            warm: zero_run(),
-            fresh: zero_run(),
+            solve: EngineRun {
+                solve_seconds: 0.0,
+                objective_gain: 0,
+                stats: SolverStats::default(),
+            },
             degraded: false,
         };
-        assert_eq!(record.closure_arc_ratio(), 0.0);
-        assert_eq!(record.warm.stats.perf.arcs_per_closure(), 0.0);
+        assert_eq!(record.solve.stats.perf.arcs_per_closure(), 0.0);
         let json = to_json(std::slice::from_ref(&record));
         // Rust formats non-finite floats exactly as `NaN`/`inf`/`-inf`
         // (note: a bare `nan` check would trip on field names like
@@ -514,8 +374,8 @@ mod tests {
         assert!(!table.contains("NaN") && !table.contains("inf"), "{table}");
     }
 
-    /// The `--profile` table lists every accounted phase for both
-    /// engines plus the work counters that explain them.
+    /// The `--profile` table lists every accounted phase plus the work
+    /// counters that explain them.
     #[test]
     fn profile_table_lists_all_phases_and_counters() {
         let mut record = BenchRecord {
@@ -523,32 +383,27 @@ mod tests {
             vertices: 10,
             edges: 20,
             init: InitRun::default(),
-            warm: EngineRun {
+            solve: EngineRun {
                 solve_seconds: 1.0,
-                objective_gain: 5,
-                stats: SolverStats::default(),
-            },
-            fresh: EngineRun {
-                solve_seconds: 2.0,
                 objective_gain: 5,
                 stats: SolverStats::default(),
             },
             degraded: false,
         };
-        record.warm.stats.perf.check_nanos = 400_000_000;
-        record.warm.stats.perf.closure_nanos = 300_000_000;
-        record.warm.stats.perf.certificate_nanos = 20_000_000;
-        record.warm.stats.perf.attribute_nanos = 100_000_000;
-        record.warm.stats.perf.commit_nanos = 100_000_000;
-        record.warm.stats.perf.closure_skips = 7;
-        record.warm.stats.perf.violations_batched = 42;
-        record.warm.stats.perf.member_clone_bytes = 4096;
+        let perf = &mut record.solve.stats.perf;
+        perf.check_nanos = 400_000_000;
+        perf.closure_nanos = 300_000_000;
+        perf.certificate_nanos = 20_000_000;
+        perf.attribute_nanos = 100_000_000;
+        perf.commit_nanos = 100_000_000;
+        perf.closure_skips = 7;
+        perf.violations_batched = 42;
+        perf.member_clone_bytes = 4096;
         let table = profile_table(&record);
         for needle in [
             "check",
             "closure",
-            // The closure phase's warm-engine and certificate sub-rows,
-            // not the header.
+            // The closure phase's warm-engine and certificate sub-rows.
             "\n    warm ",
             "\n    certificate ",
             "attribute",
@@ -561,7 +416,7 @@ mod tests {
         ] {
             assert!(table.contains(needle), "missing {needle:?} in:\n{table}");
         }
-        // 400ms of 1.0s -> 40.0% share for the warm run's check phase.
+        // 400ms of 1.0s -> 40.0% share for the check phase.
         assert!(table.contains("40.0%"), "{table}");
     }
 }

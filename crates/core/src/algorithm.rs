@@ -25,7 +25,7 @@ use std::time::Instant;
 use retime::{RetimeGraph, Retiming, VertexId};
 
 use crate::closure::ConstraintSystem;
-use crate::closure_inc::{ClosureEngine, IncrementalClosure};
+use crate::closure_inc::IncrementalClosure;
 use crate::perf::PerfCounters;
 use crate::problem::Problem;
 use crate::supervisor::{
@@ -52,9 +52,6 @@ pub struct SolverConfig {
     /// Enforce the P2 (ELW / shortest-path) constraints. `false`
     /// reproduces the *Efficient MinObs* baseline.
     pub enable_p2: bool,
-    /// Iteration safety cap; `None` uses `8·|V|² + 10⁴` (the paper
-    /// bounds iterations by `|V|²`).
-    pub max_iterations: Option<usize>,
     /// Alternate descent passes with the symmetric *ascent* pass
     /// (registers moved backward). The paper's schedule is
     /// decrease-only, which we found suboptimal on instances whose
@@ -63,22 +60,13 @@ pub struct SolverConfig {
     /// paper's Theorem 2 claims. Set `false` for the paper-literal
     /// schedule.
     pub bidirectional: bool,
-    /// Which max-gain closure engine selects each iteration's move set
-    /// ([`crate::closure_inc`]). The default warm-started engine
-    /// keeps its max-flow search trees across iterations; `Fresh`
-    /// rebuilds the flow network every call (the engines are
-    /// bit-identical by the canonical closure-selection rule, so this
-    /// is purely a performance knob).
-    pub closure_engine: ClosureEngine,
 }
 
 impl Default for SolverConfig {
     fn default() -> Self {
         Self {
             enable_p2: true,
-            max_iterations: None,
             bidirectional: true,
-            closure_engine: ClosureEngine::default(),
         }
     }
 }
@@ -90,22 +78,9 @@ impl SolverConfig {
         self
     }
 
-    /// Overrides the iteration safety cap (`None` restores the
-    /// `8·|V|² + 10⁴` default).
-    pub fn with_max_iterations(mut self, cap: Option<usize>) -> Self {
-        self.max_iterations = cap;
-        self
-    }
-
     /// Sets whether descent phases alternate with ascent phases.
     pub fn with_bidirectional(mut self, bidirectional: bool) -> Self {
         self.bidirectional = bidirectional;
-        self
-    }
-
-    /// Selects the closure engine ([`ClosureEngine::Warm`] by default).
-    pub fn with_closure_engine(mut self, engine: ClosureEngine) -> Self {
-        self.closure_engine = engine;
         self
     }
 }
@@ -268,9 +243,10 @@ fn solve_loop(
     stats: &mut SolverStats,
     mut seed: Option<PhaseSeed>,
 ) -> Result<Retiming, SolveError> {
-    // Hoisted out of the phase loop: the cap only depends on |V|.
+    // The iteration safety cap of each phase. The paper bounds
+    // iterations by |V|², so hitting it would indicate a bug.
     let n = graph.num_vertices();
-    let iteration_cap = config.max_iterations.unwrap_or(8 * n * n + 10_000);
+    let iteration_cap = 8 * n * n + 10_000;
     let mut r = initial;
     // The paper's schedule is the single descent phase. With
     // `bidirectional`, alternate descent and ascent until neither
@@ -291,7 +267,6 @@ fn solve_loop(
                 graph,
                 problem,
                 r,
-                config,
                 iteration_cap,
                 Direction::Decrease,
                 stats,
@@ -312,7 +287,6 @@ fn solve_loop(
                 graph,
                 problem,
                 r,
-                config,
                 iteration_cap,
                 Direction::Increase,
                 stats,
@@ -382,7 +356,6 @@ fn run_phase(
     graph: &RetimeGraph,
     problem: &Problem,
     mut r: Retiming,
-    config: SolverConfig,
     iteration_cap: usize,
     direction: Direction,
     stats: &mut SolverStats,
@@ -404,10 +377,7 @@ fn run_phase(
 
     // One warm closure engine per phase: it observes `system`'s change
     // log, so its lifetime must match the constraint system's.
-    let mut warm_closure = match config.closure_engine {
-        ClosureEngine::Warm => Some(IncrementalClosure::new()),
-        ClosureEngine::Fresh => None,
-    };
+    let mut closure = IncrementalClosure::new();
     let direction_increase = direction == Direction::Increase;
     // No satisfiable fix moves more registers over one vertex than the
     // circuit holds. A constant of the graph: summed once per phase.
@@ -451,30 +421,16 @@ fn run_phase(
             return Err(SolveError::IterationLimit(local_iterations));
         }
         let t_closure = Instant::now();
-        let move_set = match warm_closure.as_mut() {
-            Some(engine) => {
-                let members = engine.select_certified(
-                    &system,
-                    &mut stats.perf,
-                    &mut rt.report.closure_restarts,
-                )?;
-                // Differential oracle: in debug builds every certified
-                // selection is also compared against the from-scratch
-                // engine (the canonical rule makes them bit-identical).
-                debug_assert_eq!(
-                    members,
-                    system.max_gain_closed_set(),
-                    "warm closure engine diverged from the from-scratch oracle"
-                );
-                members
-            }
-            None => {
-                let (members, touched) = system.max_gain_closed_set_counted();
-                stats.perf.closure_calls += 1;
-                stats.perf.closure_arcs_touched += touched;
-                members
-            }
-        };
+        let move_set =
+            closure.select_certified(&system, &mut stats.perf, &mut rt.report.closure_restarts)?;
+        // Differential oracle: in debug builds every certified selection
+        // is also compared against the from-scratch min cut of
+        // `crate::closure` (the canonical rule makes them bit-identical).
+        debug_assert_eq!(
+            move_set,
+            system.max_gain_closed_set(),
+            "warm closure engine diverged from the from-scratch oracle"
+        );
         stats.perf.closure_nanos += t_closure.elapsed().as_nanos() as u64;
         if move_set.is_empty() {
             break;
@@ -520,7 +476,7 @@ fn run_phase(
             // weights, add arcs or freeze — all monotone — so applying
             // them together preserves the termination argument), and
             // the processing order is the canonical violation order, so
-            // both closure engines learn identically.
+            // learning is deterministic.
             debug_assert!(move_set.is_sorted(), "attribute binary-searches it");
             let mut changed = false;
             let mut anchor: Option<VertexId> = None;

@@ -175,16 +175,11 @@ impl ConstraintSystem {
     /// The returned set is the *canonical* one (see the module docs):
     /// the inclusion-minimal maximum-gain closed set, listed in
     /// ascending vertex order.
+    ///
+    /// This is a from-scratch Dinic min cut. The solver selects with the
+    /// warm [`crate::closure_inc`] engine; this is its oracle, which
+    /// debug builds compare with every selection.
     pub fn max_gain_closed_set(&self) -> Vec<VertexId> {
-        self.max_gain_closed_set_counted().0
-    }
-
-    /// [`ConstraintSystem::max_gain_closed_set`] plus the number of
-    /// arcs the from-scratch min-cut touched (network construction,
-    /// BFS/DFS phases and cut extraction) — the cost metric the
-    /// warm-started [`crate::closure_inc`] engine is benchmarked
-    /// against.
-    pub fn max_gain_closed_set_counted(&self) -> (Vec<VertexId>, u64) {
         let n = self.len();
         // Nodes: 0..n = vertices, n = source, n+1 = sink.
         let source = n;
@@ -209,11 +204,11 @@ impl ConstraintSystem {
             dinic.add_edge(from as usize, to as usize, INF);
         }
         if total_positive == 0 {
-            return (Vec::new(), dinic.touched);
+            return Vec::new();
         }
         let cut = dinic.max_flow(source, sink);
         if cut >= total_positive {
-            return (Vec::new(), dinic.touched); // best closure has gain <= 0
+            return Vec::new(); // best closure has gain <= 0
         }
         // Source side of the min cut = the max-gain closure.
         let reachable = dinic.min_cut_side(source);
@@ -223,7 +218,7 @@ impl ConstraintSystem {
             .collect();
         debug_assert!(self.gain_of(&members) > 0);
         debug_assert!(self.is_closed(&members));
-        (members, dinic.touched)
+        members
     }
 
     /// The gain `Σ b(v)·w(v)` of a vertex set.
@@ -250,10 +245,7 @@ impl ConstraintSystem {
     }
 }
 
-/// Dinic's max-flow (used only for the closure min-cut). `touched`
-/// counts every arc examined (construction, BFS, DFS, cut extraction)
-/// so the from-scratch cost is comparable with the warm-started
-/// engine's `closure_arcs_touched`.
+/// Dinic's max-flow (used only for the closure min-cut).
 #[derive(Debug)]
 struct Dinic {
     to: Vec<usize>,
@@ -261,7 +253,6 @@ struct Dinic {
     adj: Vec<Vec<usize>>,
     level: Vec<i32>,
     iter: Vec<usize>,
-    touched: u64,
 }
 
 impl Dinic {
@@ -272,12 +263,10 @@ impl Dinic {
             adj: vec![Vec::new(); n],
             level: vec![0; n],
             iter: vec![0; n],
-            touched: 0,
         }
     }
 
     fn add_edge(&mut self, from: usize, to: usize, cap: i64) {
-        self.touched += 1;
         self.adj[from].push(self.to.len());
         self.to.push(to);
         self.cap.push(cap);
@@ -292,7 +281,6 @@ impl Dinic {
         self.level[s] = 0;
         queue.push_back(s);
         while let Some(v) = queue.pop_front() {
-            self.touched += self.adj[v].len() as u64;
             for &e in &self.adj[v] {
                 if self.cap[e] > 0 && self.level[self.to[e]] < 0 {
                     self.level[self.to[e]] = self.level[v] + 1;
@@ -310,7 +298,6 @@ impl Dinic {
         while self.iter[v] < self.adj[v].len() {
             let e = self.adj[v][self.iter[v]];
             let u = self.to[e];
-            self.touched += 1;
             if self.cap[e] > 0 && self.level[u] == self.level[v] + 1 {
                 let d = self.dfs(u, t, f.min(self.cap[e]));
                 if d > 0 {
@@ -340,12 +327,11 @@ impl Dinic {
     }
 
     /// After `max_flow`, the residual-reachable side of the cut.
-    fn min_cut_side(&mut self, s: usize) -> Vec<bool> {
+    fn min_cut_side(&self, s: usize) -> Vec<bool> {
         let mut seen = vec![false; self.adj.len()];
         let mut stack = vec![s];
         seen[s] = true;
         while let Some(v) = stack.pop() {
-            self.touched += self.adj[v].len() as u64;
             for &e in &self.adj[v] {
                 if self.cap[e] > 0 && !seen[self.to[e]] {
                     seen[self.to[e]] = true;
@@ -480,19 +466,10 @@ mod tests {
     }
 
     #[test]
-    fn counted_selection_reports_touched_arcs() {
-        let mut cs = ConstraintSystem::new(vec![0, 5, -3]);
-        cs.add_arc(v(1), v(2));
-        let (set, touched) = cs.max_gain_closed_set_counted();
-        assert_eq!(set, cs.max_gain_closed_set());
-        assert!(touched > 0, "network build alone touches arcs");
-    }
-
-    #[test]
-    fn same_calls_select_the_same_set_with_the_same_work() {
-        // The network is built from the insertion-ordered arc log, so
-        // two systems built by the same calls touch the same arcs; an
-        // arc order read off a hashed map differs from map to map.
+    fn same_calls_select_the_same_set() {
+        // The network is built from the insertion-ordered arc log, not
+        // from an arc order read off a hashed map, which differs from
+        // map to map.
         for seed in 0..40 {
             let build = || {
                 let mut rng = netlist::rng::SplitMix64::new(seed);
@@ -507,8 +484,8 @@ mod tests {
                 cs
             };
             assert_eq!(
-                build().max_gain_closed_set_counted(),
-                build().max_gain_closed_set_counted(),
+                build().max_gain_closed_set(),
+                build().max_gain_closed_set(),
                 "seed {seed}"
             );
         }

@@ -1,10 +1,10 @@
 //! Warm-started incremental selection of maximum-gain closed sets.
 //!
-//! The solver calls [`crate::closure::ConstraintSystem::max_gain_closed_set`]
-//! once per loop iteration, and that min cut is the dominant cost of a
-//! solve (`closure_nanos` in `BENCH_solver.json`). Successive calls
-//! differ only by the last violation batch's deltas: weight raises,
-//! constraint arcs and freezes.
+//! The solver selects one maximum-gain closed set per loop iteration,
+//! and that min cut is the dominant cost of a solve (`closure_nanos` in
+//! `BENCH_solver.json`). Successive calls differ only by the last
+//! violation batch's deltas: weight raises, constraint arcs and
+//! freezes.
 //!
 //! [`IncrementalClosure`] runs the Boykov–Kolmogorov (BK) max-flow
 //! algorithm and **keeps its two search trees across calls** for the
@@ -46,12 +46,14 @@
 //! timestamp/distance adoption heuristic. A call with no pending delta
 //! serves the cached member list without touching an arc.
 //!
-//! # Why the result is bit-identical to the from-scratch engine
+//! # Why the result is bit-identical to the from-scratch oracle
 //!
-//! Both engines implement the canonical closure-selection rule of
-//! [`crate::closure`]: *the inclusion-minimal maximum-gain closed set*,
-//! the residual source-reachable set of a maximum flow, listed in
-//! ascending vertex order. By the Picard–Queyranne structure of minimum
+//! This engine and the from-scratch Dinic min cut of
+//! [`ConstraintSystem::max_gain_closed_set`], its oracle, implement
+//! the canonical closure-selection rule of [`crate::closure`]: *the
+//! inclusion-minimal maximum-gain closed set*, the residual
+//! source-reachable set of a maximum flow, listed in ascending vertex
+//! order. By the Picard–Queyranne structure of minimum
 //! cuts that set is the same for every maximum flow, and
 //! reparameterization does not move the minimum cuts.
 //!
@@ -100,19 +102,6 @@ const ORPHAN: u32 = u32::MAX - 2;
 
 /// "No path to a terminal" in the adoption distance search.
 const INFINITE_D: u32 = u32::MAX;
-
-/// Which engine the solver uses to select max-gain closed sets
-/// ([`crate::algorithm::SolverConfig::with_closure_engine`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClosureEngine {
-    /// Rebuild the flow network and run Dinic from zero flow on every
-    /// closure call (the [`crate::closure`] baseline).
-    Fresh,
-    /// Keep Boykov–Kolmogorov search trees across calls
-    /// ([`IncrementalClosure`]) and repair only what each delta touches.
-    #[default]
-    Warm,
-}
 
 /// The warm-started closure engine (see the module docs for the
 /// algorithm and the bit-identity argument).

@@ -357,7 +357,6 @@ fn run_experiment(circuit: &Circuit, config: &RunConfig) -> Result<CircuitRun, S
         let engine = sim_engine.merged(report.engine);
         if !engine.is_clean() {
             stats.degradation.ser_trip = true;
-            stats.perf.breaker_trips += engine.trips;
         }
         Ok(MethodResult {
             retiming: retiming.clone(),

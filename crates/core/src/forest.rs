@@ -95,11 +95,6 @@ impl WeightedRegularForest {
         self.weight[v.index()]
     }
 
-    /// The static gain coefficient `b(v)`.
-    pub fn gain_coefficient(&self, v: VertexId) -> i64 {
-        self.b[v.index()]
-    }
-
     /// Whether `v` has been frozen.
     pub fn is_frozen(&self, v: VertexId) -> bool {
         self.frozen[v.index()]

@@ -20,8 +20,7 @@
 //! * [`closure_inc::IncrementalClosure`]: the warm-started max-gain
 //!   closure engine, a Boykov–Kolmogorov max-flow whose search trees
 //!   live across closure calls and whose every answer the solver
-//!   checks with a linear-time max-flow certificate (select with
-//!   [`algorithm::SolverConfig::with_closure_engine`]),
+//!   checks with a linear-time max-flow certificate,
 //! * [`init::InitConfig`]: the §V choice of `Φ`, `R_min` and the
 //!   starting retiming,
 //! * [`experiment::Experiment`]: the end-to-end driver producing a

@@ -13,24 +13,20 @@ pub struct PerfCounters {
     pub check_nanos: u64,
     /// Nanoseconds spent selecting max-gain closed sets.
     pub closure_nanos: u64,
-    /// Closure selections performed (either closure engine).
+    /// Closure selections performed.
     pub closure_calls: u64,
-    /// Arcs examined by the closure engine: network construction plus,
-    /// for the from-scratch engine, its BFS/DFS phases and cut
-    /// extraction, and for the warm engine, tree repair, growth,
-    /// augmentation and adoption.
+    /// Arcs examined by the warm closure engine of
+    /// [`crate::closure_inc`]: network construction, tree repair,
+    /// growth, augmentation and adoption.
     pub closure_arcs_touched: u64,
-    /// Nanoseconds the warm engine spent inside
+    /// Nanoseconds spent inside
     /// [`crate::closure_inc::IncrementalClosure::select`] (a subset of
-    /// `closure_nanos`; 0 under the from-scratch engine).
+    /// `closure_nanos`).
     pub closure_warm_nanos: u64,
-    /// Nanoseconds spent certifying the warm engine's answers
+    /// Nanoseconds spent certifying the engine's answers
     /// (`IncrementalClosure::select_certified` in [`crate::closure_inc`]): a
-    /// subset of `closure_nanos` disjoint from `closure_warm_nanos`; 0
-    /// under the from-scratch engine.
+    /// subset of `closure_nanos` disjoint from `closure_warm_nanos`.
     pub certificate_nanos: u64,
-    /// Circuit-breaker trips of the SER engine's per-frame ODC audit.
-    pub breaker_trips: u64,
     /// Always 0. It counted warm-closure selections skipped by a
     /// provably-unchanged-cut classifier, which the tree-reusing engine
     /// of [`crate::closure_inc`] replaced; the field stays so readers of

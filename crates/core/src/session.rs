@@ -71,11 +71,6 @@ impl<'a> SolverSession<'a> {
         self
     }
 
-    /// The configuration this session will run with.
-    pub fn current_config(&self) -> SolverConfig {
-        self.config
-    }
-
     /// Runs the solver.
     ///
     /// # Errors
@@ -145,34 +140,6 @@ mod tests {
         let defaulted = SolverSession::new(&g, &p).run().unwrap();
         assert_eq!(explicit.retiming, defaulted.retiming);
         assert_eq!(explicit.objective_gain, defaulted.objective_gain);
-    }
-
-    #[test]
-    fn closure_engines_agree_end_to_end() {
-        use crate::closure_inc::ClosureEngine;
-        let (g, p) = instance(10);
-        let warm = SolverSession::new(&g, &p).run().unwrap();
-        let fresh = SolverSession::new(&g, &p)
-            .config(SolverConfig::default().with_closure_engine(ClosureEngine::Fresh))
-            .run()
-            .unwrap();
-        assert_eq!(warm.retiming, fresh.retiming);
-        assert_eq!(warm.objective_gain, fresh.objective_gain);
-        assert_eq!(warm.stats.commits, fresh.stats.commits);
-        assert_eq!(
-            warm.stats.perf.closure_calls,
-            fresh.stats.perf.closure_calls
-        );
-        // Both engines count the arcs they examine; reuse must not
-        // cost more than rebuilding on every call.
-        assert!(warm.stats.perf.closure_calls > 0);
-        assert!(
-            warm.stats.perf.closure_arcs_touched <= fresh.stats.perf.closure_arcs_touched,
-            "warm engine touched more arcs ({}) than fresh ({})",
-            warm.stats.perf.closure_arcs_touched,
-            fresh.stats.perf.closure_arcs_touched,
-        );
-        assert_eq!(fresh.stats.perf.closure_warm_nanos, 0);
     }
 
     #[test]

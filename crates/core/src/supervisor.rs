@@ -70,9 +70,9 @@ pub struct SolveBudget {
     /// cancels the shared token, so sibling solves under the same
     /// budget stop too.
     pub wall_time: Option<Duration>,
-    /// Total solver iterations allowed (distinct from the
-    /// [`crate::algorithm::SolverConfig::max_iterations`] safety cap:
-    /// exceeding the budget degrades instead of erroring).
+    /// Total solver iterations allowed (distinct from the solver's
+    /// per-phase `8·|V|² + 10⁴` safety cap: exceeding the budget
+    /// degrades instead of erroring).
     pub max_iterations: Option<usize>,
     /// Bound on the solver's estimated memory footprint in bytes (a
     /// coarse model of the graph, labels and constraint arcs — not an

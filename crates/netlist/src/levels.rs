@@ -177,11 +177,6 @@ impl Levelization {
     pub fn gate_at(&self, slot: usize) -> GateId {
         self.order[slot]
     }
-
-    /// All gates in slot order.
-    pub fn slot_order(&self) -> &[GateId] {
-        &self.order
-    }
 }
 
 impl Circuit {

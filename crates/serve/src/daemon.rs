@@ -159,21 +159,6 @@ pub enum Event {
     Drained,
 }
 
-impl Event {
-    /// The job id this event concerns (`None` for [`Event::Drained`]).
-    pub fn job_id(&self) -> Option<&str> {
-        match self {
-            Event::Queued { id }
-            | Event::Parsing { id }
-            | Event::Parsed { id, .. }
-            | Event::Levelized { id, .. }
-            | Event::Iteration { id, .. }
-            | Event::Terminal { id, .. } => Some(id),
-            Event::Drained => None,
-        }
-    }
-}
-
 /// A job's entry in the daemon's table. The spec itself (inline
 /// source included) travels in the queue and is handed to the worker
 /// that takes it, so a finished job keeps only its state, token and
@@ -463,15 +448,6 @@ impl Daemon {
     /// iterating the receiver terminates.
     pub fn close_events(&self) {
         *self.shared.tx.lock().expect("event sender poisoned") = mpsc::channel().0;
-    }
-
-    /// Whether drain has been requested.
-    pub fn is_draining(&self) -> bool {
-        self.shared
-            .state
-            .lock()
-            .expect("daemon state poisoned")
-            .draining
     }
 }
 

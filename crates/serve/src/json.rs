@@ -104,14 +104,6 @@ impl Json {
             _ => None,
         }
     }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match self {
-            Json::Bool(b) => Some(*b),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Json {

@@ -315,6 +315,8 @@ proptest! {
             .unwrap();
         prop_assert!(check_feasible(&graph, &problem, &sol.retiming).is_ok());
         prop_assert!(sol.objective_gain >= 0);
+        // Every closure answer passed its certificate: no engine restarted.
+        prop_assert!(sol.stats.degradation.is_clean(), "{}", sol.stats.degradation);
     }
 
     /// The canonical order the solver's batched learning step relies
@@ -373,55 +375,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// End-to-end differential run of the closure engines: a full
-    /// solve with the warm-started engine produces the identical
-    /// retiming, objective gain and commit trajectory as fresh Dinic
-    /// builds — and never touches more arcs.
-    #[test]
-    fn warm_closure_solver_matches_fresh_solver(seed in 0u64..8) {
-        use minobswin::algorithm::SolverConfig;
-        use minobswin::closure_inc::ClosureEngine;
-        use minobswin::init::InitConfig;
-        use minobswin::{Problem, SolverSession};
-
-        let circuit = GeneratorConfig::new("wcl", seed)
-            .gates(60)
-            .registers(12)
-            .build();
-        let graph = RetimeGraph::from_circuit(&circuit, &DelayModel::default()).unwrap();
-        let init = InitConfig::default().initialize(&graph).unwrap();
-        let params = ElwParams { phi: init.phi, t_setup: 0, t_hold: 2 };
-        let counts = vec![2i64; graph.num_vertices()];
-        let problem = Problem::from_observability_counts(&graph, &counts, params, init.r_min);
-        let warm = SolverSession::new(&graph, &problem)
-            .config(SolverConfig::default().with_closure_engine(ClosureEngine::Warm))
-            .initial(init.retiming.clone())
-            .run()
-            .unwrap();
-        let fresh = SolverSession::new(&graph, &problem)
-            .config(SolverConfig::default().with_closure_engine(ClosureEngine::Fresh))
-            .initial(init.retiming)
-            .run()
-            .unwrap();
-        prop_assert_eq!(&warm.retiming, &fresh.retiming);
-        prop_assert_eq!(warm.objective_gain, fresh.objective_gain);
-        prop_assert_eq!(warm.stats.commits, fresh.stats.commits);
-        // Every warm answer passed its certificate: no engine restarted.
-        prop_assert!(warm.stats.degradation.is_clean(), "{}", warm.stats.degradation);
-        prop_assert_eq!(warm.stats.perf.closure_calls, fresh.stats.perf.closure_calls);
-        // The warm engine must not lose to the from-scratch engine.
-        // Batched constraint learning leaves too few closure calls on
-        // these 60-gate instances for a 2x total-reuse margin; the
-        // per-call reuse claim is asserted at 300 gates in
-        // `solver_bench::tests::warm_closure_beats_fresh_on_a_generated_circuit`.
-        prop_assert!(
-            warm.stats.perf.closure_arcs_touched <= fresh.stats.perf.closure_arcs_touched,
-            "warm touched {} arcs, fresh only {}",
-            warm.stats.perf.closure_arcs_touched,
-            fresh.stats.perf.closure_arcs_touched
-        );
     }
 }
 

@@ -1,9 +1,7 @@
-//! Micro-benchmarks of the move-set machinery: the weighted regular
-//! forest operations (the paper's data structure) and the exact
-//! max-gain-closure selection the solver uses.
+//! Micro-benchmark of the weighted regular forest operations, the
+//! paper's move-set data structure.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use minobswin::closure::ConstraintSystem;
 use minobswin::forest::WeightedRegularForest;
 use netlist::rng::Xoshiro256;
 use retime::VertexId;
@@ -36,24 +34,5 @@ fn bench_forest_updates(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_closure_selection(c: &mut Criterion) {
-    let mut group = c.benchmark_group("max_gain_closure");
-    for n in [200usize, 1000, 5000] {
-        let mut cs = ConstraintSystem::new(random_gains(n, 3));
-        let mut rng = Xoshiro256::seed_from_u64(5);
-        for _ in 0..2 * n {
-            let p = 1 + rng.gen_range(n - 1);
-            let q = 1 + rng.gen_range(n - 1);
-            if p != q {
-                cs.add_arc(VertexId::new(p), VertexId::new(q));
-            }
-        }
-        group.bench_with_input(BenchmarkId::from_parameter(n), &cs, |bench, cs| {
-            bench.iter(|| cs.max_gain_closed_set().len())
-        });
-    }
-    group.finish();
-}
-
-criterion_group!(benches, bench_forest_updates, bench_closure_selection);
+criterion_group!(benches, bench_forest_updates);
 criterion_main!(benches);

@@ -27,7 +27,7 @@
 
 use crate::graph::{RetimeGraph, Retiming, VertexId};
 use crate::labels::{ElwParams, LrLabels};
-use crate::timing::{ArrivalScratch, FeasWitness};
+use crate::timing::{max_cycle_ratio, ArrivalScratch};
 
 /// Result of [`min_period_setup_hold`].
 #[derive(Debug, Clone, PartialEq)]
@@ -47,7 +47,7 @@ pub fn feasible_setup_hold(
     t_setup: i64,
     t_hold: i64,
 ) -> Option<Retiming> {
-    feasible_setup_hold_capped::<true>(graph, phi, t_setup, t_hold, graph.num_vertices() + 2)
+    feasible_setup_hold_capped(graph, phi, t_setup, t_hold, graph.num_vertices() + 2, None)
 }
 
 /// [`feasible_setup_hold`] with an explicit cap on *consecutive* setup
@@ -59,17 +59,17 @@ pub fn feasible_setup_hold(
 /// final floor at the full Bellman–Ford bound, so the minimized period
 /// is provably the same as an all-full-cap search.
 ///
-/// Each run of consecutive setup steps also feeds a [`FeasWitness`]; a
-/// verified witness proves that no retiming meets setup at `phi`, hold
-/// repairs or not, so the probe returns `None` at once — the answer it
-/// would reach at the cap. `WITNESS = false` compiles the witness out
-/// (the test oracle).
-pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
+/// `bound` is a lower bound on the clock period of every retiming with
+/// non-negative edge weights (the search passes `⌈λ*⌉`, the maximum
+/// cycle ratio's). Below it no probe can return `Some`, so one with
+/// `phi − t_setup < bound` returns `None` before its first pass.
+pub(crate) fn feasible_setup_hold_capped(
     graph: &RetimeGraph,
     phi: i64,
     t_setup: i64,
     t_hold: i64,
     feas_cap: usize,
+    bound: Option<i64>,
 ) -> Option<Retiming> {
     let trace = std::env::var_os("MINOBSWIN_TRACE").is_some();
     let t0 = std::time::Instant::now();
@@ -83,6 +83,10 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
             );
         }
     };
+    if let Some(bound) = bound.filter(|&bound| phi - t_setup < bound) {
+        report(&format!("bound {bound}"), 0, 0);
+        return None;
+    }
     let mut r = Retiming::zero(graph);
     let params = ElwParams {
         phi,
@@ -101,7 +105,6 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
     // gates.
     let mut consecutive_feas = 0usize;
     let mut scratch = ArrivalScratch::new();
-    let mut witness = FeasWitness::new();
     for _ in 0..budget {
         let period = scratch.compute(graph, &r)?;
         if period > phi - t_setup {
@@ -110,10 +113,6 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
             consecutive_feas += 1;
             if consecutive_feas > feas_cap {
                 report("feas-cap", feas_steps, hold_repairs);
-                return None;
-            }
-            if WITNESS && witness.record(graph, &scratch, phi - t_setup) {
-                report("witness", feas_steps, hold_repairs);
                 return None;
             }
             let mut moved = false;
@@ -135,7 +134,6 @@ pub(crate) fn feasible_setup_hold_capped<const WITNESS: bool>(
         match labels.find_p2_violation(graph, &r, t_hold) {
             Some(violation) => {
                 hold_repairs += 1;
-                witness.reset(graph);
                 // Two symmetric repairs: push the launching register
                 // backward over the edge's tail (lengthens the path at
                 // its start), or push the register terminating the
@@ -264,9 +262,9 @@ pub fn meets_setup_hold(
 /// turned out to be truncating a genuinely feasible probe, the search
 /// resumes below it. The result is therefore identical to an
 /// all-full-cap search, at a fraction of the cost on 10k+-gate graphs.
-/// In both tiers a probe also stops as soon as a verified negative
-/// cycle of critical segments proves its period infeasible (DESIGN.md
-/// §13.2), which cannot change its answer.
+/// In both tiers a probe with `Φ − T_s` below `⌈λ*⌉`, the verified
+/// maximum cycle ratio of the host-free graph, returns `None` before
+/// its first pass (DESIGN.md §13.2), which cannot change its answer.
 pub fn min_period_setup_hold(
     graph: &RetimeGraph,
     t_setup: i64,
@@ -279,6 +277,9 @@ pub fn min_period_setup_hold(
     let total_delay: i64 = graph.vertices().map(|v| graph.delay(v)).sum();
     let hi_bound = (total_delay + t_setup).max(1);
     let floor = (max_delay + t_setup).max(t_hold);
+    let bound = max_cycle_ratio(graph)
+        .filter(|ratio| ratio.check(graph))
+        .map(|ratio| ratio.period_bound());
     // Establish an upper-bound solution first, at full rigor.
     let mut best =
         feasible_setup_hold(graph, hi_bound, t_setup, t_hold).map(|r| SetupHoldResult {
@@ -291,7 +292,7 @@ pub fn min_period_setup_hold(
         let mut hi = best.phi;
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match feasible_setup_hold_capped::<true>(graph, mid, t_setup, t_hold, quick_cap) {
+            match feasible_setup_hold_capped(graph, mid, t_setup, t_hold, quick_cap, bound) {
                 Some(r) => {
                     best = SetupHoldResult {
                         phi: mid,
@@ -307,7 +308,7 @@ pub fn min_period_setup_hold(
         if quick_cap >= full_cap || best.phi <= floor {
             return Some(best);
         }
-        match feasible_setup_hold(graph, best.phi - 1, t_setup, t_hold) {
+        match feasible_setup_hold_capped(graph, best.phi - 1, t_setup, t_hold, full_cap, bound) {
             None => return Some(best),
             Some(r) => {
                 best = SetupHoldResult {
@@ -322,8 +323,8 @@ pub fn min_period_setup_hold(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::timing::clock_period;
     use crate::timing::tests::ring;
+    use crate::timing::{clock_period, max_cycle_ratio};
     use netlist::generator::{table1_twins, GeneratorConfig};
     use netlist::{samples, DelayModel};
     use proptest::prelude::*;
@@ -463,8 +464,12 @@ mod tests {
 
     /// A plain bisection over [`feasible_setup_hold`] at the full
     /// `|V| + 2` cap, over the range [`min_period_setup_hold`] searches:
-    /// the oracle for its quick-cap scan and full-cap confirm.
+    /// the oracle for its quick-cap scan and full-cap confirm. Like the
+    /// search, it takes every period below the cycle-ratio bound as
+    /// infeasible without a probe; the timing tests' sweep checks that
+    /// the full-cap probe agrees there.
     fn full_cap_bisection(g: &RetimeGraph, t_setup: i64, t_hold: i64) -> Option<SetupHoldResult> {
+        let bound = max_cycle_ratio(g).map_or(i64::MIN, |ratio| ratio.period_bound());
         let max_delay = g.vertices().map(|v| g.delay(v)).max().unwrap_or(0);
         let total_delay: i64 = g.vertices().map(|v| g.delay(v)).sum();
         let mut hi = (total_delay + t_setup).max(1);
@@ -475,7 +480,12 @@ mod tests {
         let mut lo = (max_delay + t_setup).max(t_hold);
         while lo < hi {
             let mid = lo + (hi - lo) / 2;
-            match feasible_setup_hold(g, mid, t_setup, t_hold) {
+            let found = if mid - t_setup < bound {
+                None
+            } else {
+                feasible_setup_hold(g, mid, t_setup, t_hold)
+            };
+            match found {
                 Some(retiming) => {
                     best = SetupHoldResult { phi: mid, retiming };
                     hi = mid;

@@ -1,6 +1,7 @@
 //! Timing analysis of a retimed graph: one pass over the zero-weight
 //! (purely combinational) subgraph gives its topological order, the
-//! arrival times and the clock period.
+//! arrival times and the clock period. The maximum cycle ratio of the
+//! host-free graph bounds the period every retiming can reach.
 
 use crate::error::RetimeError;
 use crate::graph::{EdgeId, RetimeGraph, Retiming, VertexId};
@@ -19,10 +20,6 @@ pub fn is_combinational_edge(graph: &RetimeGraph, e: EdgeId, r: &Retiming) -> bo
 ///
 /// One [`ArrivalScratch::compute`] call orders the subgraph
 /// topologically and computes every vertex's arrival time on the way.
-/// Each pass also keeps, per vertex, the critical in-edge that the max
-/// picked and the *launch* vertex its critical path starts from — the
-/// data the FEAS negative-cycle witness turns into Bellman–Ford parent
-/// pointers.
 #[derive(Debug, Default)]
 pub struct ArrivalScratch {
     /// Whether each edge is combinational under the current retiming,
@@ -31,15 +28,7 @@ pub struct ArrivalScratch {
     indeg: Vec<u32>,
     order: Vec<VertexId>,
     arrivals: Vec<i64>,
-    /// Critical in-edge index of each vertex ([`NONE`] when no
-    /// combinational in-edge has a positive arrival).
-    pred: Vec<u32>,
-    /// First vertex of each vertex's critical path.
-    launch: Vec<u32>,
 }
-
-/// "No edge / no vertex" in the `u32` per-vertex arrays below.
-const NONE: u32 = u32::MAX;
 
 impl ArrivalScratch {
     /// Creates an empty scratch (buffers grow on first use).
@@ -73,31 +62,19 @@ impl ArrivalScratch {
             .extend(graph.vertices().filter(|v| self.indeg[v.index()] == 0));
         self.arrivals.clear();
         self.arrivals.resize(n, 0);
-        // Every vertex of a successful pass is written below.
-        self.pred.resize(n, NONE);
-        self.launch.resize(n, NONE);
         let mut head = 0;
         let mut period = 0i64;
         while head < self.order.len() {
             let v = self.order[head];
             head += 1;
-            let mut best = 0i64;
-            let mut pred = NONE;
-            let mut launch = v.index() as u32;
-            for &e in graph.in_edges(v) {
-                if self.comb[e.index()] {
-                    let from = graph.edge(e).from.index();
-                    let a = self.arrivals[from];
-                    if a > best {
-                        best = a;
-                        pred = e.index() as u32;
-                        launch = self.launch[from];
-                    }
-                }
-            }
-            self.pred[v.index()] = pred;
-            self.launch[v.index()] = launch;
-            let a = best + graph.delay(v);
+            let fanin = graph
+                .in_edges(v)
+                .iter()
+                .filter(|e| self.comb[e.index()])
+                .map(|&e| self.arrivals[graph.edge(e).from.index()])
+                .max()
+                .unwrap_or(0);
+            let a = fanin + graph.delay(v);
             self.arrivals[v.index()] = a;
             period = period.max(a);
             for &e in graph.out_edges(v) {
@@ -126,220 +103,6 @@ impl ArrivalScratch {
     }
 }
 
-/// FEAS rounds between two cycle searches of [`FeasWitness::record`]
-/// (each search is one `O(|V|)` walk over the parent pointers).
-const WITNESS_CADENCE: u32 = 4;
-
-/// Negative-cycle witness for FEAS, the Leiserson–Saxe relaxation that
-/// every probe of the §V period search runs.
-///
-/// FEAS is Bellman–Ford on the difference constraints
-/// `r(u) − r(v) ≤ w(p) − 1`, one for every path `p` from `u` to `v`
-/// whose delay (both end gates included) exceeds the bound: each
-/// increment of `r(v)` relaxes the constraint of `v`'s critical path.
-/// [`FeasWitness::record`] keeps that path's launch vertex as `v`'s
-/// parent pointer and, every few rounds, looks for a cycle among the
-/// pointers. A cycle is rebuilt into explicit edge paths from a log of
-/// the critical in-edges of earlier rounds and then re-checked on graph
-/// data alone by [`FeasWitness::check`]: a closed walk of non-host
-/// edges, cut into `k` segments that each take longer than the bound,
-/// carrying fewer than `k` registers.
-///
-/// Such a walk proves that **no** retiming meets the bound. Retiming
-/// leaves a closed walk's register count unchanged, so under any
-/// retiming with non-negative edge weights some segment carries no
-/// register, and its delay alone exceeds the bound. A verified witness
-/// therefore ends a probe only where the full `|V|`-round run would also
-/// fail; it never changes a probe's answer, only how soon a failing
-/// probe stops.
-///
-/// The pointers are valid only while FEAS increments are the only
-/// changes to `r`: call [`FeasWitness::reset`] after any other change
-/// (the hold repairs of [`crate::setup_hold`]).
-#[derive(Debug, Default)]
-pub(crate) struct FeasWitness {
-    /// Rounds recorded since the last reset.
-    round: u32,
-    /// Launch vertex of each vertex's last increment ([`NONE`]: not
-    /// incremented since the reset, or it launched its own path).
-    parent: Vec<u32>,
-    /// Round of that increment.
-    stamp: Vec<u32>,
-    /// Critical in-edge history: `(round, edge, previous entry of the
-    /// same vertex)`, appended only when a vertex's in-edge changes (a
-    /// vertex without entries has had none since the reset).
-    log: Vec<(u32, u32, u32)>,
-    /// Latest log entry of each vertex ([`NONE`]: no entry).
-    head: Vec<u32>,
-    /// The in-edge of that entry, so unchanged vertices cost no log read.
-    logged: Vec<u32>,
-    /// Walk numbers of the cycle search (0 = not yet visited).
-    mark: Vec<u32>,
-    /// The last verified cycle, one edge path per segment.
-    segments: Vec<Vec<EdgeId>>,
-}
-
-impl FeasWitness {
-    /// Creates an empty witness (buffers grow on the first reset).
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Forgets every pointer and logged in-edge: the next
-    /// [`FeasWitness::record`] starts a fresh Bellman–Ford run.
-    pub fn reset(&mut self, graph: &RetimeGraph) {
-        let n = graph.num_vertices();
-        self.round = 0;
-        self.parent.clear();
-        self.parent.resize(n, NONE);
-        self.stamp.clear();
-        self.stamp.resize(n, 0);
-        self.head.clear();
-        self.head.resize(n, NONE);
-        self.logged.clear();
-        self.logged.resize(n, NONE);
-        self.log.clear();
-    }
-
-    /// Records one FEAS round: `scratch` holds the arrivals under the
-    /// retiming *before* this round's increments, and every vertex whose
-    /// arrival exceeds `bound` is about to be incremented. Returns `true`
-    /// when a cycle among the pointers has been found, rebuilt and
-    /// verified — `bound` is then proven infeasible and
-    /// [`FeasWitness::segments`] holds the proof.
-    pub fn record(&mut self, graph: &RetimeGraph, scratch: &ArrivalScratch, bound: i64) -> bool {
-        if self.parent.len() != graph.num_vertices() {
-            self.reset(graph);
-        }
-        let t = self.round;
-        for v in graph.vertices() {
-            let i = v.index();
-            let pred = scratch.pred[i];
-            if self.logged[i] != pred {
-                self.log.push((t, pred, self.head[i]));
-                self.head[i] = (self.log.len() - 1) as u32;
-                self.logged[i] = pred;
-            }
-            if scratch.arrivals[i] > bound {
-                let u = scratch.launch[i];
-                self.parent[i] = if u == i as u32 { NONE } else { u };
-                self.stamp[i] = t;
-            }
-        }
-        self.round += 1;
-        self.round.is_multiple_of(WITNESS_CADENCE) && self.find_cycle(graph, bound)
-    }
-
-    /// The segments of the last verified cycle, in walk order: segment
-    /// `i` ends where segment `i + 1` (cyclically) starts.
-    #[cfg(test)]
-    pub fn segments(&self) -> &[Vec<EdgeId>] {
-        &self.segments
-    }
-
-    /// Whether `segments` proves that no retiming meets `bound`: they
-    /// form a closed walk of non-host edges, every segment is a
-    /// non-empty path whose delay (both end gates included) exceeds
-    /// `bound`, and the walk carries fewer original registers than it
-    /// has segments. Uses graph data only.
-    pub fn check(graph: &RetimeGraph, segments: &[Vec<EdgeId>], bound: i64) -> bool {
-        let mut registers = 0u64;
-        for (i, seg) in segments.iter().enumerate() {
-            let (Some(first), Some(last)) = (seg.first(), seg.last()) else {
-                return false;
-            };
-            let next = &segments[(i + 1) % segments.len()];
-            if next.first().map(|&e| graph.edge(e).from) != Some(graph.edge(*last).to) {
-                return false;
-            }
-            let mut at = graph.edge(*first).from;
-            let mut delay = graph.delay(at);
-            for &e in seg {
-                let edge = graph.edge(e);
-                if edge.from != at || edge.from.is_host() || edge.to.is_host() {
-                    return false;
-                }
-                at = edge.to;
-                delay += graph.delay(at);
-                registers += u64::from(edge.weight);
-            }
-            if delay <= bound {
-                return false;
-            }
-        }
-        !segments.is_empty() && registers < segments.len() as u64
-    }
-
-    /// Walk-to-root search over the parent pointers; rebuilds and checks
-    /// each cycle it meets.
-    fn find_cycle(&mut self, graph: &RetimeGraph, bound: i64) -> bool {
-        self.mark.clear();
-        self.mark.resize(graph.num_vertices(), 0);
-        let mut walk = 0u32;
-        for start in graph.vertices() {
-            if self.mark[start.index()] != 0 {
-                continue;
-            }
-            walk += 1;
-            let mut v = start.index() as u32;
-            while v != NONE && self.mark[v as usize] == 0 {
-                self.mark[v as usize] = walk;
-                v = self.parent[v as usize];
-            }
-            if v != NONE
-                && self.mark[v as usize] == walk
-                && self.rebuild(graph, v)
-                && Self::check(graph, &self.segments, bound)
-            {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Rebuilds the pointer cycle through `start` as edge paths: each
-    /// segment is its end vertex's critical path in the round of its
-    /// pointer, read back from the in-edge log.
-    fn rebuild(&mut self, graph: &RetimeGraph, start: u32) -> bool {
-        self.segments.clear();
-        let mut v = start;
-        loop {
-            let (u, t) = (self.parent[v as usize], self.stamp[v as usize]);
-            let mut seg = Vec::new();
-            let mut x = v;
-            while x != u {
-                let e = self.pred_at(x, t);
-                if e == NONE || seg.len() >= graph.num_edges() {
-                    return false;
-                }
-                seg.push(EdgeId::new(e as usize));
-                x = graph.edges()[e as usize].from.index() as u32;
-            }
-            seg.reverse();
-            self.segments.push(seg);
-            v = u;
-            if v == start {
-                break;
-            }
-        }
-        self.segments.reverse();
-        true
-    }
-
-    /// The critical in-edge of vertex `x` in round `t`.
-    fn pred_at(&self, x: u32, t: u32) -> u32 {
-        let mut i = self.head[x as usize];
-        while i != NONE {
-            let (round, edge, prev) = self.log[i as usize];
-            if round <= t {
-                return edge;
-            }
-            i = prev;
-        }
-        NONE
-    }
-}
-
 /// The clock period of the retimed circuit: the largest arrival time
 /// (longest register-to-register combinational path), from one pass of
 /// a fresh [`ArrivalScratch`].
@@ -353,10 +116,215 @@ pub fn clock_period(graph: &RetimeGraph, r: &Retiming) -> Result<i64, RetimeErro
         .ok_or(RetimeError::ZeroWeightCycle)
 }
 
+/// A closed walk of non-host edges with its delay `Σ d(v)` (each visit
+/// of a vertex once) and its original register count `Σ w(e)`: the
+/// answer of [`max_cycle_ratio`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct CycleRatio {
+    pub delay: i64,
+    pub registers: i64,
+    /// The walk's edges, each ending where the next one starts.
+    pub cycle: Vec<EdgeId>,
+}
+
+impl CycleRatio {
+    /// `⌈delay / registers⌉`: once [`CycleRatio::check`] holds, no
+    /// retiming with non-negative edge weights has a smaller clock
+    /// period. Retiming keeps the walk's register count, and those
+    /// registers cut it into at most `registers` register-free paths
+    /// whose delays sum to `delay`, so one of them takes at least the
+    /// ratio.
+    pub fn period_bound(&self) -> i64 {
+        (self.delay + self.registers - 1) / self.registers
+    }
+
+    /// Whether `cycle` is a closed walk of non-host edges carrying at
+    /// least one register, whose delays and registers sum to `delay`
+    /// and `registers`. Uses graph data only.
+    pub fn check(&self, graph: &RetimeGraph) -> bool {
+        let (mut delay, mut registers) = (0, 0);
+        for (i, &e) in self.cycle.iter().enumerate() {
+            let edge = graph.edge(e);
+            let next = graph.edge(self.cycle[(i + 1) % self.cycle.len()]);
+            if edge.from.is_host() || edge.to.is_host() || edge.to != next.from {
+                return false;
+            }
+            delay += graph.delay(edge.from);
+            registers += i64::from(edge.weight);
+        }
+        registers > 0 && (delay, registers) == (self.delay, self.registers)
+    }
+}
+
+/// The largest ratio `Σ d / Σ w` over the cycles that avoid the host,
+/// with a cycle that attains it, or `None` when no cycle avoids the
+/// host. Howard's policy iteration (Cochet-Terrasson et al. 1998;
+/// Dasdan, TODAES 2004), in exact integers:
+///
+/// - Vertices with no host-free out-edge into the rest are dropped
+///   until none is left, so every kept vertex reaches a cycle.
+/// - A policy picks one such out-edge per kept vertex. Each vertex
+///   then reaches one policy cycle, whose gcd-reduced ratio `p/q` is
+///   its ratio, and its `value` is `q·Σd − p·Σw` along the policy path
+///   to that cycle's lowest-numbered vertex.
+/// - A vertex switches to an out-edge whose head has a strictly larger
+///   ratio or, when no vertex can, a strictly larger value at the same
+///   ratio. Once no vertex switches, no cycle beats the best policy
+///   cycle.
+///
+/// Every walk is a loop, not a recursion, so the graph's depth does not
+/// matter.
+pub(crate) fn max_cycle_ratio(graph: &RetimeGraph) -> Option<CycleRatio> {
+    let n = graph.num_vertices();
+    let mut outdeg: Vec<usize> = (0..n)
+        .map(|v| {
+            let out = graph.out_edges(VertexId::new(v));
+            out.iter().filter(|&&e| !graph.edge(e).to.is_host()).count()
+        })
+        .collect();
+    let mut kept = vec![true; n];
+    kept[0] = false;
+    let mut dropped: Vec<usize> = (1..n).filter(|&v| outdeg[v] == 0).collect();
+    while let Some(v) = dropped.pop() {
+        kept[v] = false;
+        for &e in graph.in_edges(VertexId::new(v)) {
+            let u = graph.edge(e).from.index();
+            if u != 0 {
+                outdeg[u] -= 1;
+                if outdeg[u] == 0 {
+                    dropped.push(u);
+                }
+            }
+        }
+    }
+    // The out-edges of kept vertex `v` into kept vertices, as `(edge,
+    // head, registers)`, are `arcs[first[v]..first[v + 1]]`.
+    let mut first = vec![0; n + 1];
+    let mut arcs = Vec::new();
+    for v in 0..n {
+        if kept[v] {
+            for &e in graph.out_edges(VertexId::new(v)) {
+                let edge = graph.edge(e);
+                if kept[edge.to.index()] {
+                    arcs.push((e, edge.to.index(), i128::from(edge.weight)));
+                }
+            }
+        }
+        first[v + 1] = arcs.len();
+    }
+    let vertices: Vec<usize> = (1..n).filter(|&v| kept[v]).collect();
+    let d = |v: usize| i128::from(graph.delay(VertexId::new(v)));
+    let mut policy = vec![0; n];
+    for &v in &vertices {
+        policy[v] = (first[v]..first[v + 1])
+            .min_by_key(|&a| arcs[a].2)
+            .expect("a kept vertex keeps an out-edge");
+    }
+    // Each vertex's policy cycle, as an index into `ratios`.
+    let mut cycle_of = vec![0; n];
+    let mut ratios: Vec<(i128, i128)> = Vec::new();
+    let mut value = vec![0i128; n];
+    let mut walk_of = vec![0u32; n];
+    let mut path = Vec::new();
+    // The best policy cycle: its delay, registers and lowest vertex.
+    let mut best: Option<(i128, i128, usize)>;
+    loop {
+        // Value determination: walk the policy from every vertex.
+        best = None;
+        ratios.clear();
+        walk_of.fill(0);
+        for (walk, &start) in (1u32..).zip(&vertices) {
+            path.clear();
+            let mut v = start;
+            while walk_of[v] == 0 {
+                walk_of[v] = walk;
+                path.push(v);
+                v = arcs[policy[v]].1;
+            }
+            if walk_of[v] == walk {
+                // This walk closed a policy cycle, `path[at..]`. Its
+                // lowest vertex gets value 0; the rest of the cycle is
+                // rotated so that the loop below settles it backwards
+                // from there, before the path that led into it.
+                let at = path
+                    .iter()
+                    .rposition(|&u| u == v)
+                    .expect("v is on the walk");
+                let delay: i128 = path[at..].iter().map(|&u| d(u)).sum();
+                let registers: i128 = path[at..].iter().map(|&u| arcs[policy[u]].2).sum();
+                if registers == 0 {
+                    return None; // a combinational cycle: no finite period
+                }
+                let k = (at..path.len())
+                    .min_by_key(|&i| path[i])
+                    .expect("a cycle has a vertex");
+                let handle = path[k];
+                let g = gcd(delay, registers);
+                cycle_of[handle] = ratios.len();
+                ratios.push((delay / g, registers / g));
+                value[handle] = 0;
+                if best.is_none_or(|(bd, bw, _)| delay * bw > bd * registers) {
+                    best = Some((delay, registers, handle));
+                }
+                path[at..].rotate_left(k - at + 1);
+                path.pop();
+            }
+            for &u in path.iter().rev() {
+                let (_, next, w) = arcs[policy[u]];
+                let (p, q) = ratios[cycle_of[next]];
+                cycle_of[u] = cycle_of[next];
+                value[u] = value[next] + q * d(u) - p * w;
+            }
+        }
+        // Policy improvement: a larger ratio first, else a larger value.
+        let ratio = |v: usize| ratios[cycle_of[v]];
+        let mut switched = false;
+        for &v in &vertices {
+            for a in first[v]..first[v + 1] {
+                let ((p, q), (bp, bq)) = (ratio(arcs[a].1), ratio(arcs[policy[v]].1));
+                if p * bq > bp * q {
+                    policy[v] = a;
+                    switched = true;
+                }
+            }
+        }
+        if !switched {
+            for &v in &vertices {
+                let gain = |a: usize| value[arcs[a].1] - ratio(v).0 * arcs[a].2;
+                for a in first[v]..first[v + 1] {
+                    let same = ratio(arcs[a].1) == ratio(arcs[policy[v]].1);
+                    if same && gain(a) > gain(policy[v]) {
+                        policy[v] = a;
+                        switched = true;
+                    }
+                }
+            }
+        }
+        if !switched {
+            break;
+        }
+    }
+    let (delay, registers, handle) = best?;
+    let next = |&a: &usize| (arcs[a].1 != handle).then(|| policy[arcs[a].1]);
+    let cycle = std::iter::successors(Some(policy[handle]), next);
+    Some(CycleRatio {
+        delay: i64::try_from(delay).ok()?,
+        registers: i64::try_from(registers).ok()?,
+        cycle: cycle.map(|a| arcs[a].0).collect(),
+    })
+}
+
+fn gcd(mut a: i128, mut b: i128) -> i128 {
+    while b != 0 {
+        (a, b) = (b, a % b);
+    }
+    a
+}
+
 #[cfg(test)]
 pub(crate) mod tests {
     use super::*;
-    use crate::setup_hold::feasible_setup_hold_capped;
+    use crate::setup_hold::feasible_setup_hold;
     use netlist::generator::GeneratorConfig;
     use netlist::{samples, CircuitBuilder, DelayModel, GateKind};
     use proptest::prelude::*;
@@ -437,8 +405,9 @@ pub(crate) mod tests {
     }
 
     /// A ring of `stages` unit-delay gates with a register after each
-    /// stage in `regs_after` and one closing the ring: the hand-built
-    /// register loop of the witness tests. The output leaves through
+    /// stage in `regs_after` and one closing the ring: a hand-built
+    /// register loop for the period bound and the search. The output
+    /// leaves through
     /// `stages` registers, so FEAS can move registers around the ring
     /// for many rounds before the host edge stops it. Registers fold
     /// into edge weights, so rings of the same length share vertex and
@@ -507,21 +476,19 @@ pub(crate) mod tests {
         assert_eq!(period, latest.unwrap_or(0));
     }
 
-    /// FEAS from `r = 0` with a witness: the round in which it fired and
-    /// the segments it proved with, or `None` when `|V|` rounds passed.
-    /// Every round also checks the pass against its definition.
-    fn feas_witness(graph: &RetimeGraph, bound: i64) -> Option<(usize, Vec<Vec<EdgeId>>)> {
+    /// Plain FEAS from `r = 0` at period `bound`, with the probe's cap
+    /// of `|V| + 2` rounds, checking every pass against its definition:
+    /// whether it reaches a retiming with non-negative edge weights.
+    fn feas_meets(graph: &RetimeGraph, bound: i64) -> bool {
         let mut r = Retiming::zero(graph);
         let mut scratch = ArrivalScratch::new();
-        let mut witness = FeasWitness::new();
-        for round in 0..graph.num_vertices() {
-            let period = scratch.compute(graph, &r)?;
+        for _ in 0..=graph.num_vertices() + 2 {
+            let period = scratch
+                .compute(graph, &r)
+                .expect("every cycle keeps its registers");
             assert_pass_matches_definition(graph, &r, &scratch, period);
             if period <= bound {
-                return None;
-            }
-            if witness.record(graph, &scratch, bound) {
-                return Some((round, witness.segments().to_vec()));
+                return graph.check_nonnegative(&r).is_ok();
             }
             for v in graph.vertices() {
                 if scratch.arrival(v) > bound {
@@ -529,92 +496,107 @@ pub(crate) mod tests {
                 }
             }
         }
-        None
+        false
     }
 
-    #[test]
-    fn witness_proves_a_register_loop_infeasible() {
-        // 24 unit gates and 3 registers: no retiming beats period 8. At
-        // 6, a walk of `m` laps has room for at most `4m` segments of
-        // delay ≥ 7 (cut gates count twice) and needs more than `3m`:
-        // one register more per lap must break any witness.
-        let c = ring(24, &[7, 15]);
-        let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
-        let bound = 6;
-        let (round, segs) = feas_witness(&g, bound).expect("detection fires inside |V| rounds");
-        assert!(round < g.num_vertices());
-
-        // Re-check the walk independently of `FeasWitness::check`.
-        let walk: Vec<EdgeId> = segs.concat();
-        for (i, &e) in walk.iter().enumerate() {
-            let next = walk[(i + 1) % walk.len()];
-            assert_eq!(g.edge(e).to, g.edge(next).from, "the walk is closed");
-            assert!(!g.edge(e).from.is_host() && !g.edge(e).to.is_host());
-        }
-        for seg in &segs {
-            let delay = g.delay(g.edge(seg[0]).from)
-                + seg.iter().map(|&e| g.delay(g.edge(e).to)).sum::<i64>();
-            assert!(delay > bound, "segment delay {delay} must exceed {bound}");
-        }
-        let registers: u64 = walk.iter().map(|&e| u64::from(g.edge(e).weight)).sum();
-        assert!(
-            registers < segs.len() as u64,
-            "{registers} registers, {} segments",
-            segs.len()
-        );
-        assert!(FeasWitness::check(&g, &segs, bound));
-
-        // Tampered: the same walk in a ring with one register more.
-        let g4 = RetimeGraph::from_circuit(&ring(24, &[3, 7, 15]), &DelayModel::unit()).unwrap();
-        assert!(g
-            .edges()
-            .iter()
-            .zip(g4.edges())
-            .all(|(a, b)| (a.from, a.to) == (b.from, b.to)));
-        assert_eq!(g4.total_registers(), g.total_registers() + 1);
-        assert!(!FeasWitness::check(&g4, &segs, bound));
-
-        // Tampered: one segment cut short by its last edge.
-        let mut cut = segs.clone();
-        cut[0].pop();
-        assert!(!FeasWitness::check(&g, &cut, bound));
-        // Tampered: a bound the segments do not all exceed.
-        assert!(!FeasWitness::check(&g, &segs, 24));
-    }
-
-    /// Every answer of the FEAS loop — plain min-period FEAS at
-    /// `T_h = 0` and the setup phase of the setup+hold probes at
-    /// `T_h = 2`, at the full and the quick cap — must equal the
-    /// oracle's with the witness compiled out, at every period from the
-    /// largest gate delay to the `r = 0` period. Returns how many of
-    /// those periods a witness proves infeasible.
-    fn assert_witness_keeps_answers(g: &RetimeGraph) -> usize {
-        let max_delay = g.vertices().map(|v| g.delay(v)).max().unwrap_or(0);
-        let period = clock_period(g, &Retiming::zero(g)).unwrap();
-        let full_cap = g.num_vertices() + 2;
-        let mut witnessed = 0;
-        for phi in max_delay..=period {
-            for t_hold in [0, 2] {
-                for cap in [full_cap, 8] {
-                    assert_eq!(
-                        feasible_setup_hold_capped::<true>(g, phi, 0, t_hold, cap),
-                        feasible_setup_hold_capped::<false>(g, phi, 0, t_hold, cap),
-                        "setup+hold FEAS at {phi}, T_h {t_hold}, cap {cap}"
-                    );
+    /// Whether some host-free cycle has `Σd > p·Σw`: Bellman–Ford for
+    /// longest paths from every vertex at once, with edge lengths
+    /// `d(from) − p·w`, still relaxes in round `|V|` only along such a
+    /// cycle.
+    fn has_heavier_cycle(graph: &RetimeGraph, p: i64) -> bool {
+        let mut dist = vec![0i64; graph.num_vertices()];
+        for _ in 0..graph.num_vertices() {
+            let mut relaxed = false;
+            for edge in graph.edges() {
+                if edge.from.is_host() || edge.to.is_host() {
+                    continue;
+                }
+                let d =
+                    dist[edge.from.index()] + graph.delay(edge.from) - p * i64::from(edge.weight);
+                if d > dist[edge.to.index()] {
+                    dist[edge.to.index()] = d;
+                    relaxed = true;
                 }
             }
-            if let Some((_, segs)) = feas_witness(g, phi) {
-                assert!(FeasWitness::check(g, &segs, phi));
-                witnessed += 1;
+            if !relaxed {
+                return false;
             }
         }
-        witnessed
+        true
     }
 
-    #[test]
-    fn witness_keeps_every_answer_on_the_samples() {
-        let mut witnessed = 0;
-        for c in [
+    /// `⌈λ*⌉` by its definition: the least integer `P` at which no
+    /// host-free cycle has `Σd > P·Σw`, or `None` without a host-free
+    /// cycle (every cycle carries a register, so at `P = −1` each one is
+    /// heavier).
+    fn bound_by_bellman_ford(graph: &RetimeGraph) -> Option<i64> {
+        if !has_heavier_cycle(graph, -1) {
+            return None;
+        }
+        let (mut lo, mut hi) = (0, graph.vertices().map(|v| graph.delay(v)).sum::<i64>());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            if has_heavier_cycle(graph, mid) {
+                lo = mid + 1;
+            } else {
+                hi = mid;
+            }
+        }
+        Some(lo)
+    }
+
+    /// Howard's bound equals the Bellman–Ford oracle's, and its cycle
+    /// passes [`CycleRatio::check`].
+    fn assert_bound_matches_oracle(graph: &RetimeGraph, what: &str) {
+        let ratio = max_cycle_ratio(graph);
+        if let Some(ratio) = &ratio {
+            assert!(ratio.check(graph), "{what}: {ratio:?}");
+        }
+        assert_eq!(
+            ratio.map(|ratio| ratio.period_bound()),
+            bound_by_bellman_ford(graph),
+            "{what}"
+        );
+    }
+
+    /// At every integer `Φ` from the largest gate delay to the `r = 0`
+    /// period, `T_s ∈ {0, 1}` and `T_h ∈ {0, 2}`: wherever
+    /// `Φ − T_s < ⌈λ*⌉`, the full-cap probe, which has no bound, returns
+    /// `None`, and so does plain FEAS at `Φ`, which checks every pass. The
+    /// `r = 0` retiming is legal, so its period is at least the bound,
+    /// and the sweep stops at `Φ = ⌈λ*⌉`. Returns how many probes the
+    /// bound refutes.
+    fn assert_bound_is_sound(graph: &RetimeGraph) -> usize {
+        let Some(bound) = max_cycle_ratio(graph).map(|ratio| ratio.period_bound()) else {
+            return 0;
+        };
+        let max_delay = graph.vertices().map(|v| graph.delay(v)).max().unwrap_or(0);
+        assert!(bound <= clock_period(graph, &Retiming::zero(graph)).unwrap());
+        let mut refuted = 0;
+        for phi in max_delay..=bound {
+            if phi < bound {
+                assert!(!feas_meets(graph, phi), "FEAS at {phi}");
+            }
+            for t_setup in [0, 1] {
+                if phi - t_setup >= bound {
+                    continue;
+                }
+                for t_hold in [0, 2] {
+                    assert_eq!(
+                        feasible_setup_hold(graph, phi, t_setup, t_hold),
+                        None,
+                        "Φ {phi}, T_s {t_setup}, T_h {t_hold} below the bound {bound}"
+                    );
+                    refuted += 1;
+                }
+            }
+        }
+        refuted
+    }
+
+    /// The samples and register rings the bound's tests sweep.
+    fn bound_circuits() -> Vec<netlist::Circuit> {
+        vec![
             samples::s27_like(),
             samples::pipeline(9, 3),
             samples::pipeline(24, 8),
@@ -622,35 +604,190 @@ pub(crate) mod tests {
             samples::two_stage_loop(),
             ring(24, &[7, 15]),
             // Bunched registers: feasible periods take FEAS many rounds
-            // of moving them apart, so an early `None` would show.
+            // of moving them apart.
             ring(24, &[0, 1]),
             ring(40, &[0, 1, 2, 3]),
-        ] {
+        ]
+    }
+
+    #[test]
+    fn max_cycle_ratio_matches_bellman_ford_on_the_samples_and_rings() {
+        for c in bound_circuits() {
             for delays in [DelayModel::unit(), DelayModel::default()] {
                 let g = RetimeGraph::from_circuit(&c, &delays).unwrap();
-                witnessed += assert_witness_keeps_answers(&g);
+                assert_bound_matches_oracle(&g, c.name());
             }
         }
-        assert!(witnessed > 0, "the sweep must exercise the witness");
+        for (stages, regs_after) in [(64, &[0, 1][..]), (96, &[0, 1, 2]), (150, &[0, 1, 2, 3])] {
+            let g =
+                RetimeGraph::from_circuit(&ring(stages, regs_after), &DelayModel::unit()).unwrap();
+            assert_bound_matches_oracle(&g, &format!("ring({stages})"));
+        }
+    }
+
+    #[test]
+    fn an_acyclic_pipeline_has_no_cycle_ratio() {
+        let mut b = CircuitBuilder::new("acyclic");
+        b.input("a");
+        b.gate("x", GateKind::Not, &["a"]).unwrap();
+        b.dff("q", "x").unwrap();
+        b.gate("y", GateKind::Nand, &["q", "a"]).unwrap();
+        b.output("y").unwrap();
+        let g = RetimeGraph::from_circuit(&b.build().unwrap(), &DelayModel::unit()).unwrap();
+        assert_eq!(max_cycle_ratio(&g), None);
+        assert_eq!(bound_by_bellman_ford(&g), None);
+    }
+
+    #[test]
+    fn the_bound_never_refutes_a_feasible_period_on_the_samples_and_rings() {
+        let mut refuted = 0;
+        for c in bound_circuits() {
+            for delays in [DelayModel::unit(), DelayModel::default()] {
+                refuted += assert_bound_is_sound(&RetimeGraph::from_circuit(&c, &delays).unwrap());
+            }
+        }
+        assert!(refuted > 0, "the sweep must reach below a bound");
+    }
+
+    #[test]
+    fn check_rejects_tampered_cycles() {
+        // 24 unit gates and 3 registers: λ* = 8, so the bound refutes
+        // periods 6 and 7, and 8 is met.
+        let g = RetimeGraph::from_circuit(&ring(24, &[7, 15]), &DelayModel::unit()).unwrap();
+        let ratio = max_cycle_ratio(&g).unwrap();
+        assert_eq!(
+            (ratio.delay, ratio.registers, ratio.cycle.len()),
+            (24, 3, 24)
+        );
+        assert!(ratio.check(&g));
+        assert_eq!(ratio.period_bound(), 8);
+        for phi in [6, 7] {
+            assert_eq!(feasible_setup_hold(&g, phi, 0, 0), None);
+        }
+        assert!(feasible_setup_hold(&g, 8, 0, 0).is_some());
+
+        // The same walk in a ring with one register more.
+        let g4 = RetimeGraph::from_circuit(&ring(24, &[3, 7, 15]), &DelayModel::unit()).unwrap();
+        assert!(g
+            .edges()
+            .iter()
+            .zip(g4.edges())
+            .all(|(a, b)| (a.from, a.to) == (b.from, b.to)));
+        assert_eq!(g4.total_registers(), g.total_registers() + 1);
+        assert!(!ratio.check(&g4));
+
+        // A cycle cut short by its last edge, with the sums of the rest.
+        let mut cut = ratio.clone();
+        let last = g.edge(cut.cycle.pop().unwrap());
+        cut.delay -= g.delay(last.from);
+        cut.registers -= i64::from(last.weight);
+        assert!(cut.registers > 0);
+        assert!(!cut.check(&g));
+
+        // Wrong sums.
+        for (delay, registers) in [(25, 3), (24, 2), (24, 4), (0, 0)] {
+            assert!(!CycleRatio {
+                delay,
+                registers,
+                ..ratio.clone()
+            }
+            .check(&g));
+        }
+
+        // A closed walk through the host, with its own sums: host → a PI,
+        // along a shortest path to a PO, and back to the host.
+        let mut via = vec![None; g.num_vertices()];
+        let mut queue = std::collections::VecDeque::from([RetimeGraph::HOST]);
+        let po = loop {
+            let u = queue.pop_front().expect("a PO is reachable from the host");
+            if let Some(&e) = g
+                .out_edges(u)
+                .iter()
+                .find(|&&e| g.edge(e).to.is_host() && !u.is_host())
+            {
+                break e;
+            }
+            for &e in g.out_edges(u) {
+                let to = g.edge(e).to;
+                if !to.is_host() && via[to.index()].is_none() {
+                    via[to.index()] = Some(e);
+                    queue.push_back(to);
+                }
+            }
+        };
+        let mut walk = vec![po];
+        while let Some(e) = via[g.edge(walk[0]).from.index()] {
+            walk.insert(0, e);
+        }
+        assert!(g.edge(walk[0]).from.is_host());
+        let through_host = CycleRatio {
+            delay: walk.iter().map(|&e| g.delay(g.edge(e).from)).sum(),
+            registers: walk.iter().map(|&e| i64::from(g.edge(e).weight)).sum(),
+            cycle: walk,
+        };
+        assert!(through_host.registers > 0);
+        assert!(!through_host.check(&g));
+    }
+
+    #[test]
+    fn gate_granularity_can_keep_the_period_above_the_bound() {
+        // Three delay-4 gates and two registers: λ* = 6, but one
+        // register-free path always holds two gates, so the period is 8.
+        let delays = DelayModel::unit()
+            .with_kind_delay(GateKind::Nand, 4)
+            .with_kind_delay(GateKind::Not, 4);
+        let g = RetimeGraph::from_circuit(&ring(3, &[0]), &delays).unwrap();
+        let ratio = max_cycle_ratio(&g).unwrap();
+        assert_eq!((ratio.delay, ratio.registers), (12, 2));
+        assert_eq!(ratio.period_bound(), 6);
+        assert_eq!(
+            crate::setup_hold::min_period_setup_hold(&g, 0, 0)
+                .unwrap()
+                .phi,
+            8
+        );
+        for phi in [6, 7] {
+            assert!(!feas_meets(&g, phi));
+        }
     }
 
     proptest! {
-        #![proptest_config(ProptestConfig::with_cases(16))]
-
         #[test]
-        fn witness_keeps_every_answer_on_generated_circuits(
+        fn max_cycle_ratio_matches_bellman_ford_on_generated_circuits(
             seed in 0u64..1_000_000,
-            gates in 12usize..32,
-            registers in 2usize..10,
+            gates in 12usize..120,
+            registers in 2usize..30,
             unit in 0u32..2,
         ) {
-            let c = GeneratorConfig::new("witness", seed)
+            let c = GeneratorConfig::new("ratio", seed)
                 .gates(gates)
                 .registers(registers)
                 .build();
             let delays = if unit == 1 { DelayModel::unit() } else { DelayModel::default() };
             let g = RetimeGraph::from_circuit(&c, &delays).unwrap();
-            assert_witness_keeps_answers(&g);
+            assert_bound_matches_oracle(&g, &format!("seed {seed}"));
+        }
+    }
+
+    proptest! {
+        // Every refuted probe runs to the full cap, so the sweep takes a
+        // quarter of the configured cases (12 by default, 512 at
+        // `PROPTEST_CASES=2048`).
+        #![proptest_config(ProptestConfig::with_cases(ProptestConfig::default().cases.div_ceil(4)))]
+
+        #[test]
+        fn the_bound_never_refutes_a_feasible_period_on_generated_circuits(
+            seed in 0u64..1_000_000,
+            gates in 12usize..32,
+            registers in 2usize..10,
+            unit in 0u32..2,
+        ) {
+            let c = GeneratorConfig::new("sound", seed)
+                .gates(gates)
+                .registers(registers)
+                .build();
+            let delays = if unit == 1 { DelayModel::unit() } else { DelayModel::default() };
+            assert_bound_is_sound(&RetimeGraph::from_circuit(&c, &delays).unwrap());
         }
     }
 }

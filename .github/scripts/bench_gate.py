@@ -131,14 +131,25 @@ def gate_solver_phases(baseline_path, new_path):
 
 
 def gate_ser(baseline_path, new_path):
-    """Size-normalized SER arena and propagation-probability times."""
+    """Size-normalized SER arena and propagation-probability times.
+
+    A row must run the simulation size of its baseline row. Every run
+    also simulates 8 warm-up frames and pays a fixed set-up, which the
+    per-gate·frame·vector normalization leaves out, so rows of two
+    sizes differ by more than the program does.
+    """
     failures = []
     for c, b in rows(baseline_path, new_path):
         if b is None:
             print(f"{c['name']}: no baseline entry, skipping")
             continue
-        # The CI run uses a smaller simulation than the committed
-        # baseline, so compare the size-normalized cost.
+        size, base_size = (c["num_vectors"], c["frames"]), (b["num_vectors"], b["frames"])
+        if size != base_size:
+            failures.append(
+                f"{c['name']}: ran {size[0]} vectors x {size[1]} frames, but the baseline "
+                f"row ran {base_size[0]} vectors x {base_size[1]} frames; rerun at the "
+                "baseline's size")
+            continue
         got = c["ser_arena_nanos"] / (c["gates"] * c["frames"] * c["num_vectors"])
         want = b["ser_arena_nanos"] / (b["gates"] * b["frames"] * b["num_vectors"])
         ratio = got / want if want else float("inf")

@@ -10,7 +10,7 @@
 //! [`SignatureArena`]: ser_engine::SignatureArena
 
 use std::fmt::Write as _;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use netlist::{samples, Circuit};
 use ser_engine::odc::Observability;
@@ -59,9 +59,10 @@ pub struct BenchSerConfig {
     pub num_vectors: usize,
     /// Recorded time frames `n`.
     pub frames: usize,
-    /// Repetitions per column; the fastest run is reported (standard
-    /// wall-clock de-noising — the minimum is the least contaminated
-    /// by scheduler interference).
+    /// Minimum repetitions per column; each column also repeats until
+    /// [`MIN_COLUMN_TIME`] has elapsed. The fastest run is reported
+    /// (standard wall-clock de-noising — the minimum is the least
+    /// contaminated by scheduler interference).
     pub reps: usize,
 }
 
@@ -187,20 +188,38 @@ pub fn profile_table(r: &BenchSerRecord) -> String {
     out
 }
 
-/// Runs every column over one circuit. The engines must be
-/// bit-identical, so the record is also an identity check.
+/// Wall time each column repeats for, past its `reps` runs. A sample
+/// circuit's run takes tens of microseconds, and its fastest of five
+/// runs still moved 2x between two runs of one binary; the 10k and
+/// 50k rows pass this within their first `reps` runs.
+pub const MIN_COLUMN_TIME: Duration = Duration::from_millis(100);
+
+/// Calls `run` at least `reps` times and until [`MIN_COLUMN_TIME`] has
+/// elapsed.
+fn repeat(reps: usize, mut run: impl FnMut()) {
+    let start = Instant::now();
+    let mut runs = 0;
+    while runs < reps.max(1) || start.elapsed() < MIN_COLUMN_TIME {
+        run();
+        runs += 1;
+    }
+}
+
+/// Runs every column over one circuit, each at least `reps` times and
+/// for at least [`MIN_COLUMN_TIME`], and keeps each column's fastest
+/// run. The engines must be bit-identical, so the record is also an
+/// identity check.
 ///
 /// # Panics
 ///
 /// Panics if any engine disagrees on the observability vector.
 pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSerRecord {
     let circuit = &instance.circuit;
-    let reps = config.reps.max(1);
 
     let mut scalar_nanos = u64::MAX;
     let mut scalar_allocs = 0;
     let mut scalar_obs = Vec::new();
-    for _ in 0..reps {
+    repeat(config.reps, || {
         let a0 = signature_allocs();
         let t0 = Instant::now();
         let scalar_trace = ScalarTrace::simulate(circuit, config.sim());
@@ -208,14 +227,14 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
         scalar_nanos = scalar_nanos.min(t0.elapsed().as_nanos() as u64);
         scalar_allocs = signature_allocs() - a0;
         scalar_obs = obs;
-    }
+    });
 
     let mut arena_nanos = u64::MAX;
     let mut arena_sim_nanos = 0;
     let mut arena_odc_nanos = 0;
     let mut arena_allocs = 0;
     let mut arena_obs = None;
-    for _ in 0..reps {
+    repeat(config.reps, || {
         let a1 = signature_allocs();
         let t1 = Instant::now();
         let (obs, sim_ns, odc_ns) = run_arena(circuit, config.sim());
@@ -229,15 +248,15 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
         }
         arena_allocs = signature_allocs() - a1;
         arena_obs = Some(obs);
-    }
-    let arena_obs = arena_obs.expect("reps >= 1");
+    });
+    let arena_obs = arena_obs.expect("at least one run");
 
     // Propagation-probability column: the backward pass alone, over a
     // trace built once outside the timed region (the experiment
     // pipeline reuses its existing trace the same way).
     let pp_trace = FrameTrace::simulate(circuit, config.sim());
     let mut propprob_nanos = u64::MAX;
-    for _ in 0..reps {
+    repeat(config.reps, || {
         let t3 = Instant::now();
         let pp = ser_engine::PropProb::compute(circuit, &pp_trace);
         propprob_nanos = propprob_nanos.min(t3.elapsed().as_nanos() as u64);
@@ -246,7 +265,7 @@ pub fn measure(instance: &BenchSerInstance, config: &BenchSerConfig) -> BenchSer
             "{}: propprob produced a non-probability",
             instance.name
         );
-    }
+    });
 
     assert_eq!(
         scalar_obs,
@@ -287,7 +306,7 @@ fn run_arena(circuit: &Circuit, config: SimConfig) -> (Observability, u64, u64) 
 /// `ser_arena_nanos` is the CI-gated regression field.
 pub fn to_json(records: &[BenchSerRecord]) -> String {
     let mut out = String::new();
-    out.push_str("{\n  \"benchmark\": \"ser-data-plane\",\n  \"version\": 4,\n");
+    out.push_str("{\n  \"benchmark\": \"ser-data-plane\",\n  \"version\": 5,\n");
     out.push_str("  \"circuits\": [\n");
     for (i, r) in records.iter().enumerate() {
         let _ = write!(

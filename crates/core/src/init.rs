@@ -104,17 +104,13 @@ impl InitConfig {
 
 fn run_init(graph: &RetimeGraph, config: InitConfig) -> Result<InitResult, SolveError> {
     let relax = |phi: i64| phi + (phi * config.epsilon_percent as i64 + 99) / 100;
-    let searched = setup_hold::min_period_setup_hold(graph, config.t_setup, config.t_hold);
-    let used_setup_hold = searched.is_some();
     // The fallback, plain min-period retiming, is the same search
-    // without the hold constraint.
+    // without the hold constraint, under the same cycle-ratio bound.
+    let (found, used_setup_hold) =
+        setup_hold::min_period_with_fallback(graph, config.t_setup, config.t_hold).ok_or_else(
+            || SolveError::Initialization("no retiming meets even the trivial period bound".into()),
+        )?;
     let t_hold = if used_setup_hold { config.t_hold } else { 0 };
-    let found = match searched {
-        Some(found) => found,
-        None => setup_hold::min_period_setup_hold(graph, config.t_setup, 0).ok_or_else(|| {
-            SolveError::Initialization("no retiming meets even the trivial period bound".into())
-        })?,
-    };
     let phi = relax(found.phi);
     // Re-derive the retiming at the relaxed period for slack.
     let retiming = setup_hold::feasible_setup_hold(graph, phi, config.t_setup, t_hold)

@@ -270,6 +270,42 @@ pub fn min_period_setup_hold(
     t_setup: i64,
     t_hold: i64,
 ) -> Option<SetupHoldResult> {
+    search(graph, t_setup, t_hold, period_bound(graph))
+}
+
+/// §V's period search with its fallback: [`min_period_setup_hold`] at
+/// `t_hold`, and when that finds nothing, the same search at `T_h = 0`
+/// (plain min-period retiming). The two searches share one `⌈λ*⌉`, so
+/// Howard's policy iteration runs once. Returns the result and whether
+/// it meets hold at `t_hold` (`false`: the fallback answered); `None`
+/// only when the fallback finds nothing either.
+pub fn min_period_with_fallback(
+    graph: &RetimeGraph,
+    t_setup: i64,
+    t_hold: i64,
+) -> Option<(SetupHoldResult, bool)> {
+    let bound = period_bound(graph);
+    match search(graph, t_setup, t_hold, bound) {
+        Some(found) => Some((found, true)),
+        None => search(graph, t_setup, 0, bound).map(|found| (found, false)),
+    }
+}
+
+/// `⌈λ*⌉`, the verified maximum cycle ratio's period bound, or `None`
+/// when no cycle avoids the host or the cycle fails its check.
+fn period_bound(graph: &RetimeGraph) -> Option<i64> {
+    max_cycle_ratio(graph)
+        .filter(|ratio| ratio.check(graph))
+        .map(|ratio| ratio.period_bound())
+}
+
+/// The two-tier search of [`min_period_setup_hold`] under `bound`.
+fn search(
+    graph: &RetimeGraph,
+    t_setup: i64,
+    t_hold: i64,
+    bound: Option<i64>,
+) -> Option<SetupHoldResult> {
     let n = graph.num_vertices();
     let full_cap = n + 2;
     let quick_cap = full_cap.min(64);
@@ -277,9 +313,6 @@ pub fn min_period_setup_hold(
     let total_delay: i64 = graph.vertices().map(|v| graph.delay(v)).sum();
     let hi_bound = (total_delay + t_setup).max(1);
     let floor = (max_delay + t_setup).max(t_hold);
-    let bound = max_cycle_ratio(graph)
-        .filter(|ratio| ratio.check(graph))
-        .map(|ratio| ratio.period_bound());
     // Establish an upper-bound solution first, at full rigor.
     let mut best =
         feasible_setup_hold(graph, hi_bound, t_setup, t_hold).map(|r| SetupHoldResult {
@@ -324,7 +357,7 @@ pub fn min_period_setup_hold(
 mod tests {
     use super::*;
     use crate::timing::tests::ring;
-    use crate::timing::{clock_period, max_cycle_ratio};
+    use crate::timing::{clock_period, max_cycle_ratio, MAX_CYCLE_RATIO_CALLS};
     use netlist::generator::{table1_twins, GeneratorConfig};
     use netlist::{samples, DelayModel};
     use proptest::prelude::*;
@@ -365,6 +398,25 @@ mod tests {
         let c = samples::pipeline(4, 4);
         let g = RetimeGraph::from_circuit(&c, &DelayModel::unit()).unwrap();
         assert!(min_period_setup_hold(&g, 0, 100).is_none());
+    }
+
+    #[test]
+    fn the_fallback_shares_one_cycle_ratio_run() {
+        let calls = || MAX_CYCLE_RATIO_CALLS.with(|calls| calls.get());
+        // An impossible hold time forces the fallback.
+        let g = RetimeGraph::from_circuit(&samples::pipeline(4, 4), &DelayModel::unit()).unwrap();
+        let before = calls();
+        let (found, met_hold) = min_period_with_fallback(&g, 0, 100).unwrap();
+        assert_eq!(calls() - before, 1, "both searches share one bound");
+        assert!(!met_hold);
+        assert_eq!(Some(found), min_period_setup_hold(&g, 0, 0));
+        // Without the fallback it is the setup+hold search.
+        let g = RetimeGraph::from_circuit(&samples::pipeline(9, 3), &DelayModel::unit()).unwrap();
+        let before = calls();
+        let (found, met_hold) = min_period_with_fallback(&g, 0, 2).unwrap();
+        assert_eq!(calls() - before, 1);
+        assert!(met_hold);
+        assert_eq!(Some(found), min_period_setup_hold(&g, 0, 2));
     }
 
     #[test]

@@ -156,6 +156,14 @@ impl CycleRatio {
     }
 }
 
+#[cfg(test)]
+thread_local! {
+    /// Calls of [`max_cycle_ratio`] on this thread, for the tests that
+    /// count them.
+    pub(crate) static MAX_CYCLE_RATIO_CALLS: std::cell::Cell<usize> =
+        const { std::cell::Cell::new(0) };
+}
+
 /// The largest ratio `Σ d / Σ w` over the cycles that avoid the host,
 /// with a cycle that attains it, or `None` when no cycle avoids the
 /// host. Howard's policy iteration (Cochet-Terrasson et al. 1998;
@@ -175,6 +183,8 @@ impl CycleRatio {
 /// Every walk is a loop, not a recursion, so the graph's depth does not
 /// matter.
 pub(crate) fn max_cycle_ratio(graph: &RetimeGraph) -> Option<CycleRatio> {
+    #[cfg(test)]
+    MAX_CYCLE_RATIO_CALLS.with(|calls| calls.set(calls.get() + 1));
     let n = graph.num_vertices();
     let mut outdeg: Vec<usize> = (0..n)
         .map(|v| {
